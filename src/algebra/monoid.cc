@@ -6,6 +6,32 @@
 
 namespace pvcdb {
 
+namespace {
+
+// Lifted kinds follow the base kinds in the same order.
+constexpr uint8_t kLiftOffset = static_cast<uint8_t>(AggKind::kSumLifted) -
+                                static_cast<uint8_t>(AggKind::kSum);
+
+}  // namespace
+
+bool IsLifted(AggKind kind) { return kind >= AggKind::kSumLifted; }
+
+AggKind LiftedKind(AggKind base) {
+  PVC_CHECK_MSG(!IsLifted(base), "monoid is already lifted");
+  return static_cast<AggKind>(static_cast<uint8_t>(base) + kLiftOffset);
+}
+
+AggKind BaseKind(AggKind lifted) {
+  PVC_CHECK_MSG(IsLifted(lifted), "monoid is not lifted");
+  return static_cast<AggKind>(static_cast<uint8_t>(lifted) - kLiftOffset);
+}
+
+int64_t EncodeLifted(int64_t m, bool present) {
+  PVC_CHECK_MSG(m >= kNegInf && m <= kPosInf,
+                "aggregate value " << m << " outside the lifted range");
+  return 2 * m + (present ? 1 : 0);
+}
+
 int64_t Monoid::Neutral() const {
   switch (kind_) {
     case AggKind::kSum:
@@ -17,6 +43,12 @@ int64_t Monoid::Neutral() const {
       return kNegInf;
     case AggKind::kProd:
       return 1;
+    case AggKind::kSumLifted:
+    case AggKind::kCountLifted:
+    case AggKind::kMinLifted:
+    case AggKind::kMaxLifted:
+    case AggKind::kProdLifted:
+      return EncodeLifted(Monoid(BaseKind(kind_)).Neutral(), false);
   }
   PVC_FAIL("unknown monoid kind");
 }
@@ -32,8 +64,21 @@ int64_t Monoid::Plus(int64_t m1, int64_t m2) const {
       return std::max(m1, m2);
     case AggKind::kProd:
       return m1 * m2;
+    case AggKind::kSumLifted:
+    case AggKind::kCountLifted:
+    case AggKind::kMinLifted:
+    case AggKind::kMaxLifted:
+    case AggKind::kProdLifted:
+      return EncodeLifted(Monoid(BaseKind(kind_))
+                              .Plus(LiftedValue(m1), LiftedValue(m2)),
+                          LiftedPresent(m1) || LiftedPresent(m2));
   }
   PVC_FAIL("unknown monoid kind");
+}
+
+bool Monoid::Idempotent() const {
+  AggKind base = IsLifted(kind_) ? BaseKind(kind_) : kind_;
+  return base == AggKind::kMin || base == AggKind::kMax;
 }
 
 int64_t Monoid::Tensor(const Semiring& semiring, int64_t s, int64_t m) const {
@@ -56,6 +101,14 @@ int64_t Monoid::Tensor(const Semiring& semiring, int64_t s, int64_t m) const {
       for (int64_t i = 0; i < times; ++i) result *= m;
       return result;
     }
+    case AggKind::kSumLifted:
+    case AggKind::kCountLifted:
+    case AggKind::kMinLifted:
+    case AggKind::kMaxLifted:
+    case AggKind::kProdLifted:
+      return EncodeLifted(
+          Monoid(BaseKind(kind_)).Tensor(semiring, s, LiftedValue(m)),
+          LiftedPresent(m) && times > 0);
   }
   PVC_FAIL("unknown monoid kind");
 }
@@ -110,6 +163,12 @@ std::string AggKindName(AggKind kind) {
       return "MAX";
     case AggKind::kProd:
       return "PROD";
+    case AggKind::kSumLifted:
+    case AggKind::kCountLifted:
+    case AggKind::kMinLifted:
+    case AggKind::kMaxLifted:
+    case AggKind::kProdLifted:
+      return AggKindName(BaseKind(kind)) + "xB";  // Debug output only.
   }
   PVC_FAIL("unknown aggregation kind");
 }

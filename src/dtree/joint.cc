@@ -1,6 +1,7 @@
 #include "src/dtree/joint.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "src/dtree/probability.h"
@@ -87,6 +88,83 @@ class JointComputer {
   CompileOptions options_;
 };
 
+// A HAVING factor [alpha theta c] (or [c theta alpha]) of the annotation,
+// applied as a filter on the value of alpha.
+struct ValueFilter {
+  CmpOp op;
+  int64_t constant;
+  bool alpha_left;
+
+  bool Accepts(int64_t v) const {
+    return alpha_left ? EvalCmp(op, v, constant) : EvalCmp(op, constant, v);
+  }
+};
+
+std::optional<ValueFilter> FilterOn(const ExprPool& pool, ExprId factor,
+                                    ExprId alpha) {
+  const ExprNode& n = pool.node(factor);
+  if (n.kind != ExprKind::kCmp) return std::nullopt;
+  ExprId lhs = n.child(0);
+  ExprId rhs = n.child(1);
+  if (lhs == alpha && pool.node(rhs).kind == ExprKind::kConstM) {
+    return ValueFilter{n.cmp, pool.node(rhs).value, true};
+  }
+  if (rhs == alpha && pool.node(lhs).kind == ExprKind::kConstM) {
+    return ValueFilter{n.cmp, pool.node(lhs).value, false};
+  }
+  return std::nullopt;
+}
+
+// The sum S of a group factor [S != 0] as step I builds it (Figure 4),
+// kInvalidExpr for any other factor.
+ExprId GroupSum(const ExprPool& pool, ExprId factor) {
+  const ExprNode& n = pool.node(factor);
+  if (n.kind != ExprKind::kCmp || n.cmp != CmpOp::kNe) return kInvalidExpr;
+  const ExprNode& rhs = pool.node(n.child(1));
+  if (rhs.kind != ExprKind::kConstS || rhs.value != 0) return kInvalidExpr;
+  return n.child(0);
+}
+
+size_t SharedVars(Span<VarId> a, Span<VarId> b) {
+  size_t shared = 0;
+  const VarId* i = a.begin();
+  const VarId* j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      ++shared;
+      ++i;
+      ++j;
+    }
+  }
+  return shared;
+}
+
+// Rewrites a monoid-sorted expression over M into M x B, every constant m
+// becoming (m, 0). m -> (m, 0) is a semimodule homomorphism, so the result
+// evaluates to (alpha, 0) in every world.
+ExprId LiftValue(ExprPool* pool, ExprId e, AggKind lifted) {
+  const ExprNode n = pool->node(e);  // Copy: interning below.
+  switch (n.kind) {
+    case ExprKind::kConstM:
+      return pool->ConstM(lifted, EncodeLifted(n.value, false));
+    case ExprKind::kTensor:
+      return pool->Tensor(n.child(0), LiftValue(pool, n.child(1), lifted));
+    case ExprKind::kAddM: {
+      std::vector<ExprId> terms;
+      terms.reserve(n.num_children);
+      for (ExprId c : n.children()) terms.push_back(LiftValue(pool, c, lifted));
+      return pool->AddM(lifted, terms);
+    }
+    default:
+      break;
+  }
+  PVC_FAIL("only monoid-sorted expressions lift to M x B");
+}
+
 }  // namespace
 
 JointDistribution ComputeJointDistribution(ExprPool* pool,
@@ -104,15 +182,79 @@ Distribution ConditionalAggregateDistribution(ExprPool* pool,
                                               ExprId agg_expr,
                                               ExprId annotation,
                                               CompileOptions options) {
-  JointDistribution joint = ComputeJointDistribution(
-      pool, variables, {agg_expr, annotation}, options);
+  PVC_CHECK(pool != nullptr);
+  const AggKind agg = pool->node(agg_expr).agg;
+  const AggKind lifted = LiftedKind(agg);
+
+  // Split the annotation's factors into HAVING filters on alpha and the
+  // rest, which decides presence.
+  std::vector<ValueFilter> filters;
+  std::vector<ExprId> rest;
+  const ExprNode an = pool->node(annotation);
+  Span<ExprId> factors = an.kind == ExprKind::kMulS
+                             ? an.children()
+                             : Span<ExprId>{&annotation, 1};
+  for (ExprId f : factors) {
+    std::optional<ValueFilter> filter = FilterOn(*pool, f, agg_expr);
+    if (filter.has_value()) {
+      filters.push_back(*filter);
+    } else {
+      rest.push_back(f);
+    }
+  }
+
+  // Presence summands: the rest is non-zero iff one of them is. Only
+  // whether a summand is non-zero reaches the flag, since s (x) (0_M, 1) =
+  // (0_M, s != 0), and [S != 0] != 0 iff one of S's summands is. So the
+  // group factor sharing the most variables with alpha gives way to S's
+  // summands, each times the other factors: independent members of the
+  // group stay independent components, as they are in alpha.
+  size_t group = rest.size();
+  size_t best_shared = 0;
+  for (size_t i = 0; i < rest.size(); ++i) {
+    ExprId sum = GroupSum(*pool, rest[i]);
+    if (sum == kInvalidExpr) continue;
+    size_t shared = SharedVars(pool->VarsOf(sum), pool->VarsOf(agg_expr));
+    if (group == rest.size() || shared > best_shared) {
+      group = i;
+      best_shared = shared;
+    }
+  }
+  std::vector<ExprId> summands;
+  if (group == rest.size()) {
+    summands.push_back(pool->MulS(rest));
+  } else {
+    ExprId sum = GroupSum(*pool, rest[group]);
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(group));
+    ExprId others = pool->MulS(rest);
+    const ExprNode sn = pool->node(sum);  // Copy: interning below.
+    Span<ExprId> parts =
+        sn.kind == ExprKind::kAddS ? sn.children() : Span<ExprId>{&sum, 1};
+    for (ExprId s : parts) summands.push_back(pool->MulS(s, others));
+  }
+
+  // One expression over M x B: alpha's terms carry (v, 0), every presence
+  // summand adds (0_M, 1).
+  std::vector<ExprId> terms = {LiftValue(pool, agg_expr, lifted)};
+  ExprId present =
+      pool->ConstM(lifted, EncodeLifted(Monoid(agg).Neutral(), true));
+  for (ExprId s : summands) terms.push_back(pool->Tensor(s, present));
+  ExprId pair = pool->AddM(lifted, terms);
+  DTree tree = CompileToDTree(pool, &variables, pair, options);
+  Distribution joint = ComputeDistribution(tree, variables, pool->semiring());
+
+  // P[alpha = v | Phi != 0] is the flag-1 part that passes every HAVING
+  // filter, normalised.
   double present_mass = 0.0;
   std::vector<Distribution::Entry> entries;
-  for (const auto& [tuple, p] : joint) {
-    if (tuple[1] != 0) {  // Annotation != 0_S: the tuple is present.
-      present_mass += p;
-      entries.push_back({tuple[0], p});
-    }
+  for (const auto& [code, p] : joint.entries()) {
+    if (!LiftedPresent(code)) continue;
+    int64_t v = LiftedValue(code);
+    bool pass = true;
+    for (const ValueFilter& filter : filters) pass = pass && filter.Accepts(v);
+    if (!pass) continue;
+    present_mass += p;
+    entries.push_back({v, p});
   }
   if (present_mass <= 0.0) return Distribution();
   for (auto& e : entries) e.second /= present_mass;

@@ -137,6 +137,11 @@ bool SideInterval(const ExprPool& pool, ExprId side, ValueInterval* out) {
       out->hi = all;
       return true;
     case AggKind::kProd:
+    case AggKind::kSumLifted:
+    case AggKind::kCountLifted:
+    case AggKind::kMinLifted:
+    case AggKind::kMaxLifted:
+    case AggKind::kProdLifted:
       return false;
   }
   return false;

@@ -337,8 +337,9 @@ ExprId ExprPool::AddMRange(AggKind agg, const ExprId* terms, size_t n) {
     }
   }
   std::sort(rest.begin(), rest.end());
-  if (agg == AggKind::kMin || agg == AggKind::kMax) {
-    // Idempotence of min/max: alpha +_M alpha = alpha.
+  if (monoid.Idempotent()) {
+    // Idempotence of min/max (and their lifted twins): alpha +_M alpha =
+    // alpha.
     rest.erase(std::unique(rest.begin(), rest.end()), rest.end());
   }
   if (const_sum != monoid.Neutral()) {

@@ -212,7 +212,9 @@ QueryPtr DecodeQuery(ByteReader* reader) {
       for (uint32_t i = 0; i < n; ++i) {
         AggSpec spec;
         uint8_t agg = reader->ReadU8();
-        if (agg > static_cast<uint8_t>(AggKind::kMax)) {
+        // PROD is the last query-level kind; the lifted kinds after it
+        // exist only inside step II and never travel.
+        if (agg > static_cast<uint8_t>(AggKind::kProd)) {
           reader->Fail();
           return nullptr;
         }

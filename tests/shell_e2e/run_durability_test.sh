@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end durability shell test: two separate pvcdb_shell processes
-# share one on-disk store. The first loads a table, registers a view,
-# `open`s the store (snapshot generation 0), then mutates and reshards
-# THROUGH the WAL. The second `open`s the same store in a fresh process:
-# recovery must replay the WAL tail (including the `shards 2` topology
-# record), serve the view bit-identically, survive a `save` checkpoint
-# rotation, and reshard back to 0.
+# share one on-disk store. The first loads a table, registers a chain view
+# and a PROD aggregate view, `open`s the store (snapshot generation 0),
+# then mutates, registers a second PROD view and reshards THROUGH the WAL,
+# and inserts once more after that. The second `open`s the same store in a
+# fresh process: recovery must decode the PROD view from the snapshot,
+# replay the whole WAL tail (the PROD view record, the `shards 2` topology
+# record and the insert after them), serve the views bit-identically,
+# survive a `save` checkpoint rotation, and reshard back to 0.
 #
 # The store path differs per run, so inputs carry a @DIR@ placeholder that
 # is substituted in, and transcripts are normalized back before diffing.

@@ -116,12 +116,18 @@ TEST(SerializeTest, QueryRoundTrip) {
   QueryPtr agg = Query::GroupAgg(
       Query::Rename(Query::Project(Query::Scan("T"), {"g", "v"}), "g", "g2"),
       {"g2"}, {{AggKind::kCount, "", "n"}, {AggKind::kSum, "v", "total"}});
+  // Every query-level monoid, PROD (the last tag) included.
+  QueryPtr all_kinds = Query::GroupAgg(
+      Query::Scan("T"), {"g"},
+      {{AggKind::kMin, "v", "lo"},
+       {AggKind::kMax, "v", "hi"},
+       {AggKind::kProd, "v", "p"}});
   QueryPtr uni = Query::Union(
       Query::Select(Query::Scan("T"),
                     Predicate::ColCmpInt("v", CmpOp::kGe, 30)),
       Query::Scan("T"));
 
-  for (const QueryPtr& q : {join, agg, uni}) {
+  for (const QueryPtr& q : {join, agg, all_kinds, uni}) {
     std::string buffer;
     EncodeQuery(&buffer, *q);
     ByteReader reader(buffer);
@@ -139,6 +145,17 @@ TEST(SerializeTest, MalformedQueryFailsCleanly) {
   QueryPtr decoded = DecodeQuery(&reader);
   EXPECT_EQ(decoded, nullptr);
   EXPECT_FALSE(reader.ok());
+
+  // The presence-lifted monoids are step II internals: a query naming one
+  // is rejected like any other unknown aggregation tag.
+  for (AggKind lifted : {AggKind::kSumLifted, AggKind::kProdLifted}) {
+    std::string agg_buffer;
+    EncodeQuery(&agg_buffer, *Query::GroupAgg(Query::Scan("T"), {"g"},
+                                              {{lifted, "v", "x"}}));
+    ByteReader agg_reader(agg_buffer);
+    EXPECT_EQ(DecodeQuery(&agg_reader), nullptr);
+    EXPECT_FALSE(agg_reader.ok());
+  }
 }
 
 WalRecord SampleRecord(int salt) {
