@@ -1,7 +1,5 @@
-// Step II hot-path benchmark: d-tree compilation + probability throughput.
-//
-// Two scenarios, both dominated by the expression/d-tree kernels rather
-// than by step I:
+// Step II hot-path benchmark: d-tree compilation + probability throughput,
+// dominated by the expression/d-tree kernels rather than by step I.
 //
 //   hotpath_skewed_batch  A batch of annotations with one giant outlier
 //                         (the shape that serializes tuple-level
@@ -12,13 +10,6 @@
 //                         throughput. Reports rows/s, ns per d-tree node
 //                         and the number of heap allocations per pass
 //                         (counted by this binary's operator new override).
-//
-//   hotpath_giant_tree    One giant annotation compiled once, then
-//                         ComputeDistribution swept over
-//                         ProbabilityOptions::num_threads in {1, 2, 4, 8}
-//                         (the intra-d-tree parallel pass). The bench
-//                         *enforces* bit-identical distributions across
-//                         thread counts and reports the speedup curve.
 //
 // Determinism: every run re-checks the per-row probabilities against the
 // first run and exits non-zero on any divergence, so CI smoke runs double
@@ -94,7 +85,6 @@ using pvcdb::DTree;
 using pvcdb::ExprId;
 using pvcdb::ExprPool;
 using pvcdb::NonZeroMass;
-using pvcdb::ProbabilityOptions;
 using pvcdb::SemiringKind;
 using pvcdb::VariableTable;
 using pvcdb::VarId;
@@ -158,8 +148,7 @@ void BuildSkewedBatch(Workload* w, size_t small, size_t giant_chains,
   }
   // The giant: an OR of independent chains plus a read-once bulk. Each
   // chain compiles to a deep mutex subtree, so the giant's d-tree has many
-  // medium-size independent branches -- the shape the intra-tree parallel
-  // pass targets.
+  // medium-size independent branches.
   std::vector<ExprId> parts;
   parts.reserve(giant_chains + 1);
   for (size_t c = 0; c < giant_chains; ++c) {
@@ -173,15 +162,12 @@ void BuildSkewedBatch(Workload* w, size_t small, size_t giant_chains,
 // identical to IsolatedCompileAndDistribution but with the d-tree size
 // surfaced for the ns/node metric.
 Distribution RowPipeline(const ExprPool& source, const VariableTable& vars,
-                         ExprId annotation, size_t* dtree_nodes,
-                         int intra_tree_threads = 0) {
+                         ExprId annotation, size_t* dtree_nodes) {
   ExprPool local(source.semiring().kind());
   ExprId e = source.CloneInto(&local, annotation);
   DTree tree = CompileToDTree(&local, &vars, e, CompileOptions());
   *dtree_nodes += tree.size();
-  ProbabilityOptions popts;
-  popts.num_threads = intra_tree_threads;
-  return ComputeDistribution(tree, vars, local.semiring(), popts);
+  return ComputeDistribution(tree, vars, local.semiring());
 }
 
 int RunSkewedBatch(bool json, bool smoke, bool full) {
@@ -254,74 +240,11 @@ int RunSkewedBatch(bool json, bool smoke, bool full) {
   return 0;
 }
 
-int RunGiantTree(bool json, bool smoke, bool full) {
-  size_t giant_chains = smoke ? 24 : (full ? 256 : 128);
-  size_t chain_len = smoke ? 24 : 48;
-  int runs = smoke ? 3 : 5;
-
-  Workload w;
-  BuildSkewedBatch(&w, 0, giant_chains, chain_len);
-  ExprId giant = w.annotations.back();
-
-  // Compile once; the sweep below isolates the probability pass.
-  ExprPool local(w.pool.semiring().kind());
-  ExprId e = w.pool.CloneInto(&local, giant);
-  DTree tree = CompileToDTree(&local, &w.vars, e, CompileOptions());
-
-  ProbabilityOptions serial_opts;
-  Distribution serial =
-      ComputeDistribution(tree, w.vars, local.semiring(), serial_opts);
-
-  double serial_mean = 0.0;
-  int exit_code = 0;
-  for (int threads : {1, 2, 4, 8}) {
-    bool identical = true;
-    auto stats = pvcdb_bench::TimeRuns(runs, [&](int) {
-      ProbabilityOptions popts;
-      popts.num_threads = threads;
-      Distribution d =
-          ComputeDistribution(tree, w.vars, local.semiring(), popts);
-      if (!(d.entries() == serial.entries())) identical = false;
-    });
-    if (threads == 1) serial_mean = stats.mean_seconds;
-    double speedup =
-        stats.mean_seconds > 0 ? serial_mean / stats.mean_seconds : 0;
-    if (json) {
-      pvcdb_bench::JsonParams params;
-      params.Set("shards", 0)
-          .Set("threads", threads)
-          .Set("dtree_nodes", static_cast<int64_t>(tree.size()))
-          .Set("speedup_vs_serial", speedup)
-          .Set("bit_identical", identical ? "true" : "false")
-          .Set("hardware_threads",
-               static_cast<int64_t>(pvcdb::DefaultThreadCount()));
-      pvcdb_bench::PrintJsonRecord("hotpath_giant_tree", params, stats);
-    } else {
-      if (threads == 1) {
-        std::printf("giant d-tree: %zu nodes\n", tree.size());
-      }
-      std::printf("threads=%d mean=%.4fs speedup=%.2fx identical=%s\n",
-                  threads, stats.mean_seconds, speedup,
-                  identical ? "yes" : "no");
-    }
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FAIL: intra-tree parallel distribution (threads=%d) "
-                   "diverged from serial\n",
-                   threads);
-      exit_code = 1;
-    }
-  }
-  return exit_code;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = pvcdb_bench::JsonMode(argc, argv);
   bool smoke = pvcdb_bench::SmokeMode(argc, argv);
   bool full = pvcdb_bench::FullMode(argc, argv);
-  int rc = RunSkewedBatch(json, smoke, full);
-  rc |= RunGiantTree(json, smoke, full);
-  return rc;
+  return RunSkewedBatch(json, smoke, full);
 }

@@ -9,7 +9,10 @@
 //
 // Every reply is also compared against the first reply byte for byte; any
 // divergence across clients or modes fails the run (exit 1), so the smoke
-// doubles as a serving bit-identity check.
+// doubles as a serving bit-identity check. Each failure prints one stderr
+// line in perfbench's format: section, mode, shards and clients; then the
+// client, request index and command; then `transport` or the first
+// differing line, expected vs actual.
 //
 // Two durability sweeps ride along:
 //
@@ -37,12 +40,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,6 +68,63 @@ namespace {
 
 using namespace pvcdb;
 using namespace pvcdb_bench;
+
+// One failed check. An empty `command` marks a failure no single request
+// caused (a fork, a server's exit status).
+struct Failure {
+  int client = -1;     ///< -1: the set-up connection.
+  size_t index = 0;    ///< The client's request sequence number.
+  std::string command;
+  std::string detail;  ///< "transport", or the first differing line.
+};
+
+// Empty when the texts are equal, else the first line where they differ
+// (perfbench's FirstDifference wording).
+std::string FirstDifference(const std::string& expected,
+                            const std::string& actual) {
+  if (expected == actual) return std::string();
+  std::istringstream e(expected);
+  std::istringstream a(actual);
+  std::string el;
+  std::string al;
+  for (size_t line = 1;; ++line) {
+    bool has_e = static_cast<bool>(std::getline(e, el));
+    bool has_a = static_cast<bool>(std::getline(a, al));
+    if (!has_e && !has_a) {
+      return "line " + std::to_string(line) +
+             ": texts differ only in their final newline";
+    }
+    if (has_e != has_a || el != al) {
+      return "line " + std::to_string(line) + ": expected '" +
+             (has_e ? el : std::string("<end of text>")) + "' / actual '" +
+             (has_a ? al : std::string("<end of text>")) + "'";
+    }
+  }
+}
+
+// "section S mode M shards N clients C": where in the run a failure sits.
+std::string Where(const std::string& section, const std::string& mode,
+                  size_t shards, size_t clients) {
+  return "section " + section + " mode " + mode + " shards " +
+         std::to_string(shards) + " clients " + std::to_string(clients);
+}
+
+void PrintFailure(const std::string& where, const Failure& f) {
+  if (f.command.empty()) {
+    std::fprintf(stderr, "FAILED: %s: %s\n", where.c_str(), f.detail.c_str());
+    return;
+  }
+  std::string client = f.client < 0 ? "setup" : std::to_string(f.client);
+  std::fprintf(stderr, "FAILED: %s client %s command #%zu '%s': %s\n",
+               where.c_str(), client.c_str(), f.index, f.command.c_str(),
+               f.detail.c_str());
+}
+
+// Records a failure under `mu` (client threads report concurrently).
+void AddFailure(std::mutex* mu, std::vector<Failure>* failures, Failure f) {
+  std::lock_guard<std::mutex> lock(*mu);
+  failures->push_back(std::move(f));
+}
 
 std::string WriteDataset(const std::string& dir, size_t rows) {
   std::string path = dir + "/bench.csv";
@@ -134,6 +194,7 @@ struct GridResult {
   double mean_seconds = 0.0;
   double stddev_seconds = 0.0;
   bool ok = false;
+  std::vector<Failure> failures;  ///< Why `ok` is false.
 };
 
 GridResult RunGridPoint(const std::string& dir, const std::string& csv,
@@ -143,40 +204,44 @@ GridResult RunGridPoint(const std::string& dir, const std::string& csv,
   const std::string address = dir + "/bench.sock";
   ::unlink(address.c_str());
   pid_t server = StartServer(address, shards, in_process);
-  if (server <= 0) return result;
+  if (server <= 0) {
+    result.failures.push_back({-1, 0, "", "fork failed"});
+    return result;
+  }
 
   const std::string query = "SELECT * FROM bench WHERE v >= 700";
+  // Load, then one warm-up query whose reply is the reference.
+  const std::string setup_commands[] = {"load bench " + csv, query};
   Client setup;
   std::string text;
-  bool loaded = setup.Connect(address) &&
-                setup.Send("load bench " + csv, &text) &&
-                setup.Send(query, &text);  // Warm-up + reference reply.
-  if (!loaded) {
+  if (!setup.Connect(address)) {
+    result.failures.push_back({-1, 0, "<connect>", "transport"});
+  }
+  for (size_t i = 0; i < 2 && result.failures.empty(); ++i) {
+    if (!setup.Send(setup_commands[i], &text)) {
+      result.failures.push_back({-1, i, setup_commands[i], "transport"});
+    }
+  }
+  if (result.failures.empty() && !expected->empty() && *expected != text) {
+    result.failures.push_back({-1, 1, query, FirstDifference(*expected, text)});
+  }
+  if (!result.failures.empty()) {
     kill(server, SIGKILL);
     waitpid(server, nullptr, 0);
     return result;
   }
-  if (expected->empty()) {
-    *expected = text;
-  } else if (*expected != text) {
-    std::fprintf(stderr,
-                 "bench_serve: reply diverged (shards=%zu, in_process=%d)\n",
-                 shards, in_process ? 1 : 0);
-    kill(server, SIGKILL);
-    waitpid(server, nullptr, 0);
-    return result;
-  }
+  if (expected->empty()) *expected = text;
 
   std::mutex mu;
   std::vector<double> latencies;
-  std::atomic<int> failures{0};
   WallTimer wall;
   std::vector<std::thread> threads;
   for (size_t c = 0; c < num_clients; ++c) {
-    threads.emplace_back([&]() {
+    threads.emplace_back([&, c]() {
+      const int id = static_cast<int>(c);
       Client client;
       if (!client.Connect(address)) {
-        ++failures;
+        AddFailure(&mu, &result.failures, {id, 0, "<connect>", "transport"});
         return;
       }
       std::vector<double> local;
@@ -184,8 +249,12 @@ GridResult RunGridPoint(const std::string& dir, const std::string& csv,
       std::string reply;
       for (int r = 0; r < requests; ++r) {
         WallTimer timer;
-        if (!client.Send(query, &reply) || reply != *expected) {
-          ++failures;
+        std::string detail = client.Send(query, &reply)
+                                 ? FirstDifference(*expected, reply)
+                                 : "transport";
+        if (!detail.empty()) {
+          AddFailure(&mu, &result.failures,
+                     {id, static_cast<size_t>(r), query, detail});
           return;
         }
         local.push_back(timer.ElapsedSeconds());
@@ -200,10 +269,11 @@ GridResult RunGridPoint(const std::string& dir, const std::string& csv,
   setup.Send("shutdown", &text);
   int status = -1;
   waitpid(server, &status, 0);
-  if (failures.load() != 0 || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    return result;
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    result.failures.push_back(
+        {-1, 0, "", "server exit status " + std::to_string(status)});
   }
+  if (!result.failures.empty()) return result;
 
   std::sort(latencies.begin(), latencies.end());
   result.qps = elapsed > 0.0 ? latencies.size() / elapsed : 0.0;
@@ -239,16 +309,28 @@ GridResult RunMutationPoint(const std::string& dir, const std::string& csv,
   if (mode.durable) {
     store = dir + "/store_" + mode.name;
     std::string rm = "rm -rf '" + store + "'";
-    if (std::system(rm.c_str()) != 0) return result;
+    if (std::system(rm.c_str()) != 0) {
+      result.failures.push_back({-1, 0, "", "cannot clear " + store});
+      return result;
+    }
   }
   pid_t server =
       StartServer(address, shards, /*in_process=*/false, store,
                   mode.group_commit_ms);
-  if (server <= 0) return result;
+  if (server <= 0) {
+    result.failures.push_back({-1, 0, "", "fork failed"});
+    return result;
+  }
 
   Client setup;
   std::string text;
-  if (!setup.Connect(address) || !setup.Send("load bench " + csv, &text)) {
+  const std::string load = "load bench " + csv;
+  if (!setup.Connect(address)) {
+    result.failures.push_back({-1, 0, "<connect>", "transport"});
+  } else if (!setup.Send(load, &text)) {
+    result.failures.push_back({-1, 0, load, "transport"});
+  }
+  if (!result.failures.empty()) {
     kill(server, SIGKILL);
     waitpid(server, nullptr, 0);
     return result;
@@ -256,14 +338,14 @@ GridResult RunMutationPoint(const std::string& dir, const std::string& csv,
 
   std::mutex mu;
   std::vector<double> latencies;
-  std::atomic<int> failures{0};
   WallTimer wall;
   std::vector<std::thread> threads;
   for (size_t c = 0; c < num_clients; ++c) {
     threads.emplace_back([&, c]() {
+      const int id = static_cast<int>(c);
       Client client;
       if (!client.Connect(address)) {
-        ++failures;
+        AddFailure(&mu, &result.failures, {id, 0, "<connect>", "transport"});
         return;
       }
       std::vector<double> local;
@@ -278,7 +360,8 @@ GridResult RunMutationPoint(const std::string& dir, const std::string& csv,
                            std::to_string((key * 37) % 1000) + " 0.5";
         WallTimer timer;
         if (!client.Send(line, &reply)) {
-          ++failures;
+          AddFailure(&mu, &result.failures,
+                     {id, static_cast<size_t>(r), line, "transport"});
           return;
         }
         local.push_back(timer.ElapsedSeconds());
@@ -290,14 +373,17 @@ GridResult RunMutationPoint(const std::string& dir, const std::string& csv,
   for (std::thread& t : threads) t.join();
   const double elapsed = wall.ElapsedSeconds();
 
-  bool state_ok = setup.Send("tables", tables_after);
+  if (!setup.Send("tables", tables_after)) {
+    result.failures.push_back({-1, 1, "tables", "transport"});
+  }
   setup.Send("shutdown", &text);
   int status = -1;
   waitpid(server, &status, 0);
-  if (failures.load() != 0 || !state_ok || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    return result;
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    result.failures.push_back(
+        {-1, 0, "", "server exit status " + std::to_string(status)});
   }
+  if (!result.failures.empty()) return result;
 
   std::sort(latencies.begin(), latencies.end());
   result.qps = elapsed > 0.0 ? latencies.size() / elapsed : 0.0;
@@ -321,11 +407,17 @@ struct ResyncPoint {
   bool ok = false;
 };
 
+// Forks a standalone worker and returns once it accepts connections: a
+// FaultProxy dials its upstream once per connection and drops the link if
+// the worker is still starting up, which would degrade the fault_p99 run.
+// The probe connection closes without a hello, which the worker skips.
 pid_t StartStandaloneWorker(const std::string& address) {
   pid_t pid = fork();
   if (pid == 0) {
     _exit(ShardWorker::RunStandalone(address, /*quiet=*/true));
   }
+  std::string error;
+  if (pid > 0) ConnectWithRetry(address, 250, &error);
   return pid;
 }
 
@@ -353,16 +445,16 @@ Coordinator::WorkerSpawner RedialSpawner(std::vector<std::string> addrs) {
   };
 }
 
-// Sums the entries/bytes out of ReconcileWorkers' report lines; false when
-// any worker failed or took the unexpected path.
+// Sums the entries/bytes out of ReconcileWorkers' report lines; false, with
+// the reason in `failures`, when any worker failed or took the unexpected
+// path.
 bool SumResync(const std::vector<std::string>& lines, bool expect_full,
-               ResyncPoint* point) {
+               ResyncPoint* point, std::vector<Failure>* failures) {
   for (const std::string& line : lines) {
     const bool full = line.find("full resync") != std::string::npos;
     const bool tail = line.find("tail resync") != std::string::npos;
     if ((expect_full && !full) || (!expect_full && !tail)) {
-      std::fprintf(stderr, "bench_serve: unexpected resync path: %s\n",
-                   line.c_str());
+      failures->push_back({-1, 0, "", "unexpected resync path: " + line});
       return false;
     }
     unsigned long long entries = 0;
@@ -371,8 +463,7 @@ bool SumResync(const std::vector<std::string>& lines, bool expect_full,
     if (comma == std::string::npos ||
         std::sscanf(line.c_str() + comma, ", %llu entries, %llu bytes",
                     &entries, &bytes) != 2) {
-      std::fprintf(stderr, "bench_serve: unparseable resync line: %s\n",
-                   line.c_str());
+      failures->push_back({-1, 0, "", "unparseable resync line: " + line});
       return false;
     }
     point->entries += entries;
@@ -384,23 +475,31 @@ bool SumResync(const std::vector<std::string>& lines, bool expect_full,
 // Builds a durable coordinator state of `rows` base rows + `mutations`
 // inserts over standalone workers, then measures both recovery paths:
 // reconnecting the SAME workers (tail: chain proof passes, nothing to
-// ship) and blank replacements (full rebuild).
+// ship) and blank replacements (full rebuild). False, with the reasons in
+// `failures`, when either path fails.
 bool RunResyncPoints(const std::string& dir, size_t shards, size_t rows,
-                     int mutations, ResyncPoint* tail, ResyncPoint* full) {
+                     int mutations, ResyncPoint* tail, ResyncPoint* full,
+                     std::vector<Failure>* failures) {
   std::vector<std::string> addrs;
   std::vector<pid_t> pids;
   for (size_t s = 0; s < shards; ++s) {
     addrs.push_back(dir + "/resync_w" + std::to_string(s) + ".sock");
     ::unlink(addrs.back().c_str());
     pid_t pid = StartStandaloneWorker(addrs.back());
-    if (pid <= 0) return false;
+    if (pid <= 0) {
+      failures->push_back({-1, 0, "", "fork failed"});
+      return false;
+    }
     pids.push_back(pid);
   }
 
   DurableConfig dcfg;
   dcfg.dir = dir + "/resync_store";
   std::string rm = "rm -rf '" + dcfg.dir + "'";
-  if (std::system(rm.c_str()) != 0) return false;
+  if (std::system(rm.c_str()) != 0) {
+    failures->push_back({-1, 0, "", "cannot clear " + dcfg.dir});
+    return false;
+  }
 
   bool ok = false;
   {
@@ -410,7 +509,7 @@ bool RunResyncPoints(const std::string& dir, size_t shards, size_t rows,
     std::unique_ptr<DurableSession> session =
         DurableSession::CreateAttached(dcfg, coordinator.get(), &error);
     if (session == nullptr) {
-      std::fprintf(stderr, "bench_serve: %s\n", error.c_str());
+      failures->push_back({-1, 0, "", error});
     } else {
       Schema schema({{"k", CellType::kInt}, {"v", CellType::kInt}});
       std::vector<std::vector<Cell>> cells;
@@ -444,13 +543,15 @@ bool RunResyncPoints(const std::string& dir, size_t shards, size_t rows,
     std::unique_ptr<DurableSession> session =
         DurableSession::RecoverAttached(dcfg, coordinator.get(), &error);
     if (session == nullptr) {
-      std::fprintf(stderr, "bench_serve: %s\n", error.c_str());
+      failures->push_back({-1, 0, "", error});
       return false;
     }
     std::vector<std::string> lines;
     coordinator->ReconcileWorkers(&lines);
     tail->seconds = timer.ElapsedSeconds();
-    if (!SumResync(lines, /*expect_full=*/false, tail)) return false;
+    if (!SumResync(lines, /*expect_full=*/false, tail, failures)) {
+      return false;
+    }
     tail->ok = true;
     session.reset();
     coordinator.reset();
@@ -467,7 +568,10 @@ bool RunResyncPoints(const std::string& dir, size_t shards, size_t rows,
     fresh_addrs.push_back(dir + "/resync_f" + std::to_string(s) + ".sock");
     ::unlink(fresh_addrs.back().c_str());
     pid_t pid = StartStandaloneWorker(fresh_addrs.back());
-    if (pid <= 0) return false;
+    if (pid <= 0) {
+      failures->push_back({-1, 0, "", "fork failed"});
+      return false;
+    }
     fresh_pids.push_back(pid);
   }
   {
@@ -479,13 +583,15 @@ bool RunResyncPoints(const std::string& dir, size_t shards, size_t rows,
     std::unique_ptr<DurableSession> session =
         DurableSession::RecoverAttached(dcfg, coordinator.get(), &error);
     if (session == nullptr) {
-      std::fprintf(stderr, "bench_serve: %s\n", error.c_str());
+      failures->push_back({-1, 0, "", error});
       return false;
     }
     std::vector<std::string> lines;
     coordinator->ReconcileWorkers(&lines);
     full->seconds = timer.ElapsedSeconds();
-    if (!SumResync(lines, /*expect_full=*/true, full)) return false;
+    if (!SumResync(lines, /*expect_full=*/true, full, failures)) {
+      return false;
+    }
     full->ok = true;
     coordinator->Shutdown();
     session.reset();
@@ -494,11 +600,11 @@ bool RunResyncPoints(const std::string& dir, size_t shards, size_t rows,
   for (pid_t pid : fresh_pids) waitpid(pid, nullptr, 0);
   // The tail path must actually be the cheap one.
   if (tail->entries != 0 || full->entries == 0) {
-    std::fprintf(stderr,
-                 "bench_serve: resync paths inverted (tail %llu entries, "
-                 "full %llu entries)\n",
-                 static_cast<unsigned long long>(tail->entries),
-                 static_cast<unsigned long long>(full->entries));
+    failures->push_back({-1, 0, "",
+                         "resync paths inverted (tail " +
+                             std::to_string(tail->entries) +
+                             " entries, full " +
+                             std::to_string(full->entries) + " entries)"});
     return false;
   }
   return true;
@@ -512,7 +618,8 @@ bool RunResyncPoints(const std::string& dir, size_t shards, size_t rows,
 // every worker link passes through a FaultProxy delaying each frame by
 // `delay_ms` with probability `probability` (seeded per shard, so the
 // schedule is reproducible). Every reply must stay distributed -- the
-// delays sit far under the RPC deadline -- and bit-identical to the first.
+// delays sit far under the RPC deadline -- and bit-identical to the first;
+// `result->failures` says which was not.
 bool RunFaultPoint(const std::string& dir, size_t shards, size_t rows,
                    int requests, double probability, uint64_t delay_ms,
                    GridResult* result) {
@@ -527,7 +634,11 @@ bool RunFaultPoint(const std::string& dir, size_t shards, size_t rows,
     ::unlink(worker_addrs.back().c_str());
     ::unlink(proxy_addrs.back().c_str());
     pid_t pid = StartStandaloneWorker(worker_addrs.back());
-    if (pid <= 0) return false;
+    if (pid <= 0) {
+      result->failures.push_back({-1, 0, "", "fork failed"});
+      ok = false;
+      break;
+    }
     pids.push_back(pid);
     FaultSchedule schedule;
     schedule.delay_probability = probability;
@@ -537,7 +648,7 @@ bool RunFaultPoint(const std::string& dir, size_t shards, size_t rows,
     std::string error;
     if (!proxies.back()->Start(proxy_addrs.back(), worker_addrs.back(),
                                schedule, &error)) {
-      std::fprintf(stderr, "bench_serve: fault proxy: %s\n", error.c_str());
+      result->failures.push_back({-1, 0, "", "fault proxy: " + error});
       ok = false;
       break;
     }
@@ -561,12 +672,15 @@ bool RunFaultPoint(const std::string& dir, size_t shards, size_t rows,
     }
     coordinator->AddTupleIndependentTable("bench", schema, cells, probs);
 
-    ParseResult parsed = ParseQuery("SELECT * FROM bench WHERE v >= 700");
+    const std::string query = "SELECT * FROM bench WHERE v >= 700";
+    ParseResult parsed = ParseQuery(query);
     if (!parsed.ok()) {
+      result->failures.push_back({0, 0, query, "parse: " + parsed.error});
       ok = false;
     } else {
       QueryRun reference = coordinator->Run(*parsed.query);
       ok = reference.distributed;
+      if (!ok) result->failures.push_back({0, 0, query, "degraded"});
       std::vector<double> latencies;
       latencies.reserve(static_cast<size_t>(requests));
       WallTimer wall;
@@ -574,14 +688,17 @@ bool RunFaultPoint(const std::string& dir, size_t shards, size_t rows,
         WallTimer timer;
         QueryRun run = coordinator->Run(*parsed.query);
         latencies.push_back(timer.ElapsedSeconds());
-        if (!run.distributed || run.text != reference.text ||
-            run.probabilities != reference.probabilities) {
-          std::fprintf(stderr,
-                       "bench_serve: flaky-link reply degraded or "
-                       "diverged at request %d\n",
-                       r);
-          ok = false;
+        const size_t index = static_cast<size_t>(r) + 1;
+        if (!run.distributed) {
+          result->failures.push_back({0, index, query, "degraded"});
+        } else if (run.text != reference.text) {
+          result->failures.push_back(
+              {0, index, query, FirstDifference(reference.text, run.text)});
+        } else if (run.probabilities != reference.probabilities) {
+          result->failures.push_back(
+              {0, index, query, "probabilities differ from request #0"});
         }
+        ok = result->failures.empty();
       }
       if (ok) {
         const double elapsed = wall.ElapsedSeconds();
@@ -639,16 +756,21 @@ int main(int argc, char** argv) {
   // is also a serving bit-identity check.
   std::string expected;
   bool failed = false;
+  auto report = [&failed](const std::string& where,
+                          const std::vector<Failure>& failures) {
+    for (const Failure& f : failures) PrintFailure(where, f);
+    failed = true;
+  };
   for (bool in_process : {true, false}) {
+    const char* mode = in_process ? "in-process" : "workers";
     for (size_t shards : shard_grid) {
       for (size_t clients : client_grid) {
         GridResult r = RunGridPoint(dir, csv, shards, clients, requests,
                                     in_process, &expected);
         if (!r.ok) {
-          failed = true;
+          report(Where("serve", mode, shards, clients), r.failures);
           continue;
         }
-        const char* mode = in_process ? "in-process" : "workers";
         if (json) {
           JsonParams params;
           params.Set("mode", mode)
@@ -694,12 +816,16 @@ int main(int argc, char** argv) {
   // best-of filters transient slowdowns, which only ever add time.
   {
     const size_t overhead_shards = 2;
+    const size_t off_clients = 4;
     SetMetricsEnabled(false);
-    GridResult off_grid = RunGridPoint(dir, csv, overhead_shards, 4,
+    GridResult off_grid = RunGridPoint(dir, csv, overhead_shards, off_clients,
                                        smoke ? 40 : 120,
                                        /*in_process=*/false, &expected);
     SetMetricsEnabled(true);
-    if (!off_grid.ok) failed = true;
+    if (!off_grid.ok) {
+      report(Where("metrics_overhead", "workers", overhead_shards, off_clients),
+             off_grid.failures);
+    }
 
     const int batch = smoke ? 200 : full ? 800 : 400;
     const int trials = 5;
@@ -732,7 +858,8 @@ int main(int argc, char** argv) {
       }
     }
     if (sink == 0 || best_on <= 0.0 || best_off <= 0.0) {
-      failed = true;
+      report(Where("metrics_overhead", "in-process", overhead_shards, 1),
+             {{-1, 0, "", "no timed batch produced a reply"}});
     } else {
       const double qps_on = batch / best_on;
       const double qps_off = batch / best_off;
@@ -786,17 +913,17 @@ int main(int argc, char** argv) {
     GridResult r =
         RunMutationPoint(dir, csv, mutation_shards, mutation_clients,
                          mutations, mode, &tables_after);
+    const std::string where =
+        Where("serve_mutation", mode.name, mutation_shards, mutation_clients);
     if (!r.ok) {
-      failed = true;
+      report(where, r.failures);
       continue;
     }
     if (tables_reference.empty()) {
       tables_reference = tables_after;
     } else if (tables_reference != tables_after) {
-      std::fprintf(stderr,
-                   "bench_serve: end state diverged under durability=%s\n",
-                   mode.name);
-      failed = true;
+      report(where, {{-1, 1, "tables",
+                      FirstDifference(tables_reference, tables_after)}});
       continue;
     }
     if (json) {
@@ -828,8 +955,9 @@ int main(int argc, char** argv) {
   // (blank replacements) after a coordinator restart on the same WAL.
   ResyncPoint tail;
   ResyncPoint fullsync;
+  std::vector<Failure> resync_failures;
   if (RunResyncPoints(dir, mutation_shards, rows, mutations, &tail,
-                      &fullsync)) {
+                      &fullsync, &resync_failures)) {
     std::unique_ptr<TablePrinter> resync_table;
     if (!json) {
       resync_table = std::make_unique<TablePrinter>(std::vector<std::string>{
@@ -859,7 +987,7 @@ int main(int argc, char** argv) {
       }
     }
   } else {
-    failed = true;
+    report(Where("resync", "workers", mutation_shards, 1), resync_failures);
   }
 
   // Client-observed latency on a flaky link: 1% of frames delayed 2ms by
@@ -897,7 +1025,7 @@ int main(int argc, char** argv) {
                               FormatDouble(r.p99_ms, 3)});
       }
     } else {
-      failed = true;
+      report(Where("fault_p99", "workers", mutation_shards, 1), r.failures);
     }
   }
 
@@ -905,10 +1033,5 @@ int main(int argc, char** argv) {
   if (std::system(cleanup.c_str()) != 0) {
     // Best-effort cleanup.
   }
-  if (failed) {
-    std::fprintf(stderr, "bench_serve: FAILED (transport error or reply "
-                         "divergence)\n");
-    return 1;
-  }
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -13,15 +13,13 @@ Normalizing by the same run's serial single-shard point cancels the
 absolute speed of the machine, so a baseline committed from one host
 remains meaningful on CI runners.
 
---metric speedup (`bench_ivm --json`, `bench_hotpath --json`): compares
-the recorded speedup field of the summary record selected by
---series/--shards/--threads. The field defaults to
-`speedup_incremental_vs_recompute` (bench_ivm); pass
---field speedup_vs_serial for the bench_hotpath intra-tree curve. The
-speedup is already a within-run ratio, so no further normalization is
-applied. When either side's record was captured with hardware_threads=1
-the gate is SKIPPED (exit 0, loud warning): parallel speedups measured
-on a single core are scheduling noise, not signal.
+--metric speedup (`bench_ivm --json`): compares the recorded
+`speedup_incremental_vs_recompute` field of the summary record selected
+by --series/--shards/--threads. The speedup is already a within-run
+ratio, so no further normalization is applied. When either side's record
+was captured with hardware_threads=1 the gate is SKIPPED (exit 0, loud
+warning): speedups measured on a single core are scheduling noise, not
+signal.
 
 --metric ns-per-node (`bench_hotpath --json`): compares the compile +
 probability cost per d-tree node of the selected record. Lower is
@@ -62,6 +60,9 @@ repository root (see docs/CI.md).
 import argparse
 import json
 import sys
+
+# The record field the speedup metric reads.
+SPEEDUP_FIELD = "speedup_incremental_vs_recompute"
 
 
 def load_records(path):
@@ -138,9 +139,6 @@ def main():
     parser.add_argument("--series", default="shard_query",
                         help="bench name of the record to gate on "
                              "(speedup / ns-per-node metrics)")
-    parser.add_argument("--field", default="speedup_incremental_vs_recompute",
-                        help="record field holding the speedup "
-                             "(speedup metric)")
     parser.add_argument("--threshold", type=float, default=None,
                         help="allowed fractional drop (default 0.20 = 20%%); "
                              "for overhead-pct, the absolute overhead "
@@ -204,24 +202,23 @@ def main():
                                      args.shards, args.threads)
         baseline_record = find_record(load_records(args.baseline),
                                       args.series, args.shards, args.threads)
-        # Parallel speedups measured on a 1-CPU host are noise, not signal:
-        # the helper threads share one core, so "speedup" is pure scheduling
-        # overhead (e.g. the 0.38x intra-tree points in a single-core
-        # BENCH_hotpath.json). Gating on such a number fails healthy code
-        # and passes broken code, so the only safe move is to skip loudly.
+        # Speedups measured on a 1-CPU host are noise, not signal: every
+        # thread shares one core, so a "speedup" is mostly scheduling
+        # overhead. Gating on such a number fails healthy code and passes
+        # broken code, so the only safe move is to skip loudly.
         single = [name for name, record in (("current", current_record),
                                             ("baseline", baseline_record))
                   if record.get("hardware_threads") == 1]
         if single:
-            print(f"SKIPPED: speedup gate for {args.series} {args.field}: "
+            print(f"SKIPPED: speedup gate for {args.series} {SPEEDUP_FIELD}: "
                   f"the {' and '.join(single)} run(s) were captured with "
                   "hardware_threads=1, where parallel speedups are "
                   "meaningless. Refresh from a multi-core bench-trajectory "
                   "artifact to arm this gate (docs/CI.md).")
             sys.exit(0)
-        current = field_from(current_record, args.series, args.field)
-        baseline = field_from(baseline_record, args.series, args.field)
-        label = f"{args.series} {args.field}"
+        current = field_from(current_record, args.series, SPEEDUP_FIELD)
+        baseline = field_from(baseline_record, args.series, SPEEDUP_FIELD)
+        label = f"{args.series} {SPEEDUP_FIELD}"
 
     if lower_is_better:
         ceiling = (1.0 + args.threshold) * baseline

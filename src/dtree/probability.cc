@@ -1,18 +1,11 @@
 #include "src/dtree/probability.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/util/check.h"
-#include "src/util/parallel.h"
 
 namespace pvcdb {
 
@@ -25,76 +18,12 @@ constexpr int64_t kNoClamp = std::numeric_limits<int64_t>::min();
 // the d-tree, the variable table, and the semiring.
 using SubtreeKey = std::pair<DTree::NodeId, int64_t>;
 
-// Coarsening: subtrees whose estimated task count is at most
-// total / (threads * kTasksPerThread) (with a floor of kMinTaskNodes)
-// become single atomic tasks; everything above stays a one-node task.
-constexpr size_t kTasksPerThread = 16;
-constexpr size_t kMinTaskNodes = 48;
-
-// Below this d-tree size the parallel pass cannot win; stay serial.
-constexpr size_t kMinParallelTreeSize = 128;
-
-// Shared subproblems below this exact size are cheaper to recompute than
-// to exchange through the striped memo.
-constexpr size_t kMinSharedSubtree = 16;
-
-// -- Lock-striped shared memo ----------------------------------------------
-//
-// Workers of one parallel computation exchange pure subtree distributions
-// here. Every value stored is the exact distribution of its key, so
-// concurrent lookups and racing duplicate inserts cannot change results,
-// only save or waste work.
-class StripedMemo {
- public:
-  bool Get(DTree::NodeId node, int64_t clamp, Distribution* out) {
-    Stripe& s = StripeOf(node);
-    std::unique_lock<std::mutex> lock(s.mutex);
-    auto it = s.map.find(node);
-    if (it == s.map.end()) return false;
-    for (const auto& [c, dist] : it->second) {
-      if (c == clamp) {
-        *out = dist;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Put(DTree::NodeId node, int64_t clamp, const Distribution& dist) {
-    Stripe& s = StripeOf(node);
-    std::unique_lock<std::mutex> lock(s.mutex);
-    auto& list = s.map[node];
-    for (const auto& [c, existing] : list) {
-      if (c == clamp) return;  // A racing worker computed the same value.
-    }
-    list.emplace_back(clamp, dist);
-  }
-
- private:
-  static constexpr size_t kStripes = 64;
-
-  struct Stripe {
-    std::mutex mutex;
-    // node -> (clamp, distribution) list; almost always one entry.
-    std::unordered_map<uint32_t,
-                       std::vector<std::pair<int64_t, Distribution>>>
-        map;
-  };
-
-  Stripe& StripeOf(DTree::NodeId node) {
-    return stripes_[(node * 2654435761u) % kStripes];
-  }
-
-  Stripe stripes_[kStripes];
-};
-
 // -- Iterative bottom-up kernel --------------------------------------------
 //
 // Computes (node, clamp) subproblem distributions with an explicit frame
 // stack and a dense node-indexed memo (one inline slot per node plus an
 // overflow map for the rare second clamp bound). Reductions fold children
-// left to right exactly like the recursive formulation, so results are
-// independent of how work is scheduled around the kernel.
+// left to right exactly like the recursive formulation.
 class Kernel {
  public:
   Kernel(const DTree& tree, const VariableTable& variables,
@@ -106,52 +35,10 @@ class Kernel {
         slots_(tree.size()),
         clamp_safe_(tree.size(), 0) {}
 
-  /// Consult (and fill) `shared` for nodes flagged in `publish`; used by
-  /// the parallel pass. Both may be null (serial mode).
-  void AttachShared(StripedMemo* shared, const std::vector<uint8_t>* publish) {
-    shared_ = shared;
-    publish_ = publish;
-  }
-
   /// The distribution of subproblem (id, clamp).
   const Distribution& Compute(DTree::NodeId id, int64_t clamp) {
-    const Distribution* hit = Find(id, clamp);
-    if (hit != nullptr) return *hit;
     Run(id, clamp);
     return *Find(id, clamp);
-  }
-
-  /// The child subproblems `Compute` would request for (id, clamp), in
-  /// reduction order. Used by the parallel pass to enumerate the task DAG
-  /// with exactly the keys the kernels will look up.
-  void AppendChildTasks(DTree::NodeId id, int64_t clamp,
-                        std::vector<SubtreeKey>* out) {
-    const DTreeNode n = tree_.node(id);
-    switch (n.kind) {
-      case DTreeNodeKind::kLeafVar:
-      case DTreeNodeKind::kLeafConst:
-        return;
-      case DTreeNodeKind::kOplus:
-      case DTreeNodeKind::kMutex: {
-        int64_t child_clamp = ClampBoundFor(n, clamp);
-        for (DTree::NodeId c : n.children) out->push_back({c, child_clamp});
-        return;
-      }
-      case DTreeNodeKind::kOdot:
-        for (DTree::NodeId c : n.children) out->push_back({c, kNoClamp});
-        return;
-      case DTreeNodeKind::kOtimes:
-        out->push_back({n.children[0], kNoClamp});
-        out->push_back({n.children[1], ClampBoundFor(n, clamp)});
-        return;
-      case DTreeNodeKind::kCmp: {
-        auto [lhs_clamp, rhs_clamp] = CmpClampBounds(n);
-        out->push_back({n.children[0], lhs_clamp});
-        out->push_back({n.children[1], rhs_clamp});
-        return;
-      }
-    }
-    PVC_FAIL("unknown d-tree node kind");
   }
 
  private:
@@ -182,9 +69,6 @@ class Kernel {
   }
 
   void Store(DTree::NodeId id, int64_t clamp, Distribution dist) {
-    if (shared_ != nullptr && (*publish_)[id] != 0) {
-      shared_->Put(id, clamp, dist);
-    }
     Slot& s = slots_[id];
     if (!s.filled) {
       s.filled = true;
@@ -196,23 +80,8 @@ class Kernel {
     overflow_.emplace(SubtreeKey{id, clamp}, std::move(dist));
   }
 
-  /// Pushes subproblem (id, clamp), or settles it immediately (leaves, and
-  /// shared-memo hits in parallel mode).
+  /// Pushes subproblem (id, clamp), or settles it immediately (leaves).
   void Push(DTree::NodeId id, int64_t clamp) {
-    if (shared_ != nullptr && (*publish_)[id] != 0) {
-      Distribution fetched;
-      if (shared_->Get(id, clamp, &fetched)) {
-        Slot& s = slots_[id];
-        if (!s.filled) {
-          s.filled = true;
-          s.clamp = clamp;
-          s.dist = std::move(fetched);
-        } else if (s.clamp != clamp) {
-          overflow_.emplace(SubtreeKey{id, clamp}, std::move(fetched));
-        }
-        return;
-      }
-    }
     const DTreeNode n = tree_.node(id);
     switch (n.kind) {
       case DTreeNodeKind::kLeafVar:
@@ -294,7 +163,7 @@ class Kernel {
   }
 
   /// Folds the freshly available child distribution into the frame,
-  /// left to right -- the serial reduction order every schedule preserves.
+  /// left to right.
   void Fold(Frame* f, const DTreeNode& n, const Distribution& child) {
     switch (n.kind) {
       case DTreeNodeKind::kOplus: {
@@ -478,8 +347,6 @@ class Kernel {
   const VariableTable& variables_;
   const Semiring& semiring_;
   ProbabilityOptions options_;
-  StripedMemo* shared_ = nullptr;
-  const std::vector<uint8_t>* publish_ = nullptr;
 
   std::vector<Slot> slots_;
   std::map<SubtreeKey, Distribution> overflow_;
@@ -489,405 +356,6 @@ class Kernel {
   std::vector<DTree::NodeId> safe_stack_;
 };
 
-// -- Intra-tree parallel pass ----------------------------------------------
-//
-// The subproblem DAG below the root is enumerated once and coarsened into
-// *jobs*:
-//
-//   - subtrees of at most `grain` distinct subproblems become atomic
-//     leaf-tasks, batched with their siblings into group jobs so tiny
-//     subtrees never travel through the scheduler one by one;
-//   - "interesting" over-grain tasks -- the root, branching points of the
-//     over-grain skeleton, and wide nodes whose small children carry
-//     grain-scale total work -- become single-task jobs that compute their
-//     node (and any absorbed sequential spine below it) once their
-//     descendant jobs have published;
-//   - over-grain chains with a single over-grain child ("spines", e.g. deep
-//     Shannon towers) are never scheduled: they are sequential by
-//     construction, so the job above them computes them inline instead of
-//     paying per-node scheduling.
-//
-// Jobs execute Kahn-style: dependency counts resolve through the coarsened
-// graph, ready jobs feed per-worker work-stealing deques, and workers
-// exchange pure subtree distributions through the lock-striped shared
-// memo. Subtree sizes are *exact* bounded reachability counts (epoch-
-// stamped scan with early exit), not tree-unfolded estimates -- a shared
-// Shannon tower of linear DAG size coarsens into one task instead of a
-// thousand.
-
-// One (node, clamp) subproblem of the task DAG.
-struct Task {
-  DTree::NodeId node = 0;
-  int64_t clamp = kNoClamp;
-  uint32_t child_begin = 0;  ///< Range of child task indices.
-  uint32_t child_count = 0;
-  uint32_t refs = 0;  ///< Extra references beyond the first (DAG sharing).
-  /// Distinct subproblems in this task's subtree; kOverGrain when the
-  /// bounded scan exceeded the coarsening grain.
-  uint32_t size = 1;
-  uint32_t gt_children = 0;          ///< Children with size == kOverGrain.
-  uint32_t atomic_child_size = 0;    ///< Total size of in-grain children.
-  uint8_t state = 0;                 ///< DFS state.
-  bool scheduled = false;            ///< Owns (or heads) a job.
-  uint32_t job = kNoJob;             ///< Owning job of scheduled tasks.
-
-  static constexpr uint32_t kOverGrain = static_cast<uint32_t>(-1);
-  static constexpr uint32_t kNoJob = static_cast<uint32_t>(-1);
-};
-
-// A schedulable unit: one inner task, or a batch of atomic subtree tasks.
-struct Job {
-  uint32_t member_begin = 0;  ///< Range of task indices to Compute().
-  uint32_t member_count = 0;
-  uint32_t parent_begin = 0;  ///< Range of dependent job indices.
-  uint32_t parent_count = 0;
-  uint32_t deps = 0;  ///< Number of distinct child jobs to wait for.
-};
-
-struct TaskGraph {
-  std::vector<Task> tasks;
-  std::vector<uint32_t> children;  ///< Child task index arena.
-  std::vector<Job> jobs;
-  std::vector<uint32_t> members;  ///< Job member task indices.
-  std::vector<uint32_t> parents;  ///< Job parent edges arena.
-  std::vector<uint8_t> publish;   ///< Per d-tree node: publish to memo.
-};
-
-// Dense + overflow lookup of task indices by (node, clamp).
-class TaskIndex {
- public:
-  explicit TaskIndex(size_t num_nodes)
-      : primary_(num_nodes, {kNoClamp, kNone}) {}
-
-  uint32_t Lookup(DTree::NodeId node, int64_t clamp) const {
-    const auto& [c, idx] = primary_[node];
-    if (idx != kNone && c == clamp) return idx;
-    auto it = overflow_.find({node, clamp});
-    return it == overflow_.end() ? kNone : it->second;
-  }
-
-  void Insert(DTree::NodeId node, int64_t clamp, uint32_t idx) {
-    auto& slot = primary_[node];
-    if (slot.second == kNone) {
-      slot = {clamp, idx};
-      return;
-    }
-    overflow_.emplace(SubtreeKey{node, clamp}, idx);
-  }
-
-  static constexpr uint32_t kNone = static_cast<uint32_t>(-1);
-
- private:
-  std::vector<std::pair<int64_t, uint32_t>> primary_;
-  std::map<SubtreeKey, uint32_t> overflow_;
-};
-
-// Enumerates the subproblem DAG, sizes subtrees exactly (bounded), chooses
-// the scheduled skeleton, batches atomic siblings into group jobs, and
-// wires job-level dependencies. Returns false when the coarsened graph is
-// too small for the parallel pass to pay off.
-bool BuildTaskGraph(const DTree& tree, Kernel* analysis, size_t threads,
-                    TaskGraph* graph) {
-  TaskIndex index(tree.size());
-  std::vector<Task>& tasks = graph->tasks;
-  std::vector<uint32_t>& child_arena = graph->children;
-
-  auto intern_task = [&](DTree::NodeId node, int64_t clamp) {
-    uint32_t idx = index.Lookup(node, clamp);
-    if (idx != TaskIndex::kNone) {
-      ++tasks[idx].refs;
-      return idx;
-    }
-    idx = static_cast<uint32_t>(tasks.size());
-    Task t;
-    t.node = node;
-    t.clamp = clamp;
-    tasks.push_back(t);
-    index.Insert(node, clamp, idx);
-    return idx;
-  };
-
-  // Pass 1: enumerate the DAG in postorder.
-  tasks.reserve(tree.size() + tree.size() / 4);
-  child_arena.reserve(tree.size() * 2);
-  std::vector<uint32_t> postorder;
-  postorder.reserve(tree.size());
-  std::vector<SubtreeKey> child_keys;
-  std::vector<uint32_t> dfs = {intern_task(tree.root(), kNoClamp)};
-  while (!dfs.empty()) {
-    uint32_t t = dfs.back();
-    if (tasks[t].state == 2) {
-      dfs.pop_back();
-      continue;
-    }
-    if (tasks[t].state == 0) {
-      tasks[t].state = 1;
-      child_keys.clear();
-      analysis->AppendChildTasks(tasks[t].node, tasks[t].clamp, &child_keys);
-      uint32_t begin = static_cast<uint32_t>(child_arena.size());
-      for (const SubtreeKey& key : child_keys) {
-        child_arena.push_back(intern_task(key.first, key.second));
-      }
-      tasks[t].child_begin = begin;
-      tasks[t].child_count = static_cast<uint32_t>(child_keys.size());
-      for (uint32_t i = 0; i < tasks[t].child_count; ++i) {
-        uint32_t c = child_arena[begin + i];
-        if (tasks[c].state == 0) dfs.push_back(c);
-      }
-    } else {
-      tasks[t].state = 2;
-      postorder.push_back(t);
-      dfs.pop_back();
-    }
-  }
-
-  const uint32_t grain = static_cast<uint32_t>(std::max(
-      kMinTaskNodes,
-      tasks.size() / std::max<size_t>(threads, 1) / kTasksPerThread));
-
-  // Pass 2 (bottom-up): subtree sizes without unfolding the DAG. The
-  // children of independence nodes ((+), (.), (x), [theta]) are
-  // variable-disjoint by the d-tree normal form, so summing their sizes is
-  // exact; mutex branches are Shannon restrictions of one expression and
-  // share almost all of their structure, so their size is modelled as the
-  // largest branch plus one node per extra branch (linear, matching the
-  // DAG growth of deep towers). Sizes only steer coarsening -- kernels
-  // compute anything a job's cut missed inline -- so the approximation can
-  // never affect results.
-  for (uint32_t t : postorder) {
-    Task& task = tasks[t];
-    task.gt_children = 0;
-    task.atomic_child_size = 0;
-    uint64_t sum = 1;
-    uint64_t max_child = 0;
-    for (uint32_t i = 0; i < task.child_count; ++i) {
-      const Task& c = tasks[child_arena[task.child_begin + i]];
-      if (c.size == Task::kOverGrain) {
-        ++task.gt_children;
-      } else {
-        task.atomic_child_size += c.size;
-        sum += c.size;
-        max_child = std::max<uint64_t>(max_child, c.size);
-      }
-    }
-    if (task.gt_children > 0) {
-      task.size = Task::kOverGrain;
-      continue;
-    }
-    uint64_t size =
-        tree.node(task.node).kind == DTreeNodeKind::kMutex && task.child_count > 0
-            ? 1 + max_child + (task.child_count - 1)
-            : sum;
-    task.size = size > grain ? Task::kOverGrain
-                             : static_cast<uint32_t>(size);
-  }
-
-  if (tasks[0].size != Task::kOverGrain) return false;  // Whole tree fits.
-
-  // Pass 3: the scheduled skeleton. An over-grain task is scheduled when
-  // it is the root, the anchor of a cut (no over-grain children), wide
-  // enough that its small children alone carry grain-scale work, or a
-  // *true* branching point -- several over-grain children of an
-  // independence node, whose subtrees are variable-disjoint by the d-tree
-  // normal form. Over-grain mutex "branches" share almost all of their
-  // structure (they are Shannon restrictions of one expression), so mutex
-  // towers are never split: the job above computes them inline instead of
-  // paying per-node scheduling for sequential work.
-  for (Task& task : tasks) {
-    if (task.size != Task::kOverGrain) continue;
-    bool branching = task.gt_children >= 2 &&
-                     tree.node(task.node).kind != DTreeNodeKind::kMutex;
-    task.scheduled = task.gt_children == 0 ||
-                     task.atomic_child_size >= grain || branching;
-  }
-  tasks[0].scheduled = true;
-
-  // Group the in-grain children of scheduled tasks into batch jobs of
-  // roughly grain-sized total work. Each atomic task joins one job only
-  // (shared subtrees are claimed by the first scheduled parent; later
-  // parents just depend on that job).
-  std::vector<Job>& jobs = graph->jobs;
-  std::vector<uint32_t>& members = graph->members;
-  auto close_group = [&](uint32_t begin) {
-    if (begin == members.size()) return;
-    Job job;
-    job.member_begin = begin;
-    job.member_count = static_cast<uint32_t>(members.size()) - begin;
-    jobs.push_back(job);
-  };
-  for (uint32_t t = 0; t < tasks.size(); ++t) {
-    if (!tasks[t].scheduled) continue;
-    uint32_t group_begin = static_cast<uint32_t>(members.size());
-    uint32_t group_size = 0;
-    for (uint32_t i = 0; i < tasks[t].child_count; ++i) {
-      uint32_t c = child_arena[tasks[t].child_begin + i];
-      Task& child = tasks[c];
-      if (child.size == Task::kOverGrain || child.job != Task::kNoJob) {
-        continue;
-      }
-      child.job = static_cast<uint32_t>(jobs.size());
-      members.push_back(c);
-      group_size += child.size;
-      if (group_size >= grain) {
-        close_group(group_begin);
-        group_begin = static_cast<uint32_t>(members.size());
-        group_size = 0;
-      }
-    }
-    close_group(group_begin);
-  }
-  size_t group_jobs = jobs.size();
-  for (uint32_t t = 0; t < tasks.size(); ++t) {
-    if (!tasks[t].scheduled) continue;
-    tasks[t].job = static_cast<uint32_t>(jobs.size());
-    Job job;
-    job.member_begin = static_cast<uint32_t>(members.size());
-    job.member_count = 1;
-    members.push_back(t);
-    jobs.push_back(job);
-  }
-  if (group_jobs == 0 || jobs.size() < threads + 1) return false;
-
-  // Pass 4: job-level dependencies. A scheduled task depends on the jobs
-  // owning the scheduled tasks and claimed atomic subtrees visible from
-  // its children without crossing another scheduled task (unscheduled
-  // spines are traversed, their inline subtrees ignored).
-  std::vector<std::pair<uint32_t, uint32_t>> edges;  // (child job, parent).
-  std::vector<uint32_t> job_stamp(jobs.size(), 0);
-  std::vector<uint32_t> walk_stamp(tasks.size(), 0);
-  uint32_t walk_epoch = 0;
-  std::vector<uint32_t> walk;
-  for (uint32_t t = 0; t < tasks.size(); ++t) {
-    if (!tasks[t].scheduled) continue;
-    ++walk_epoch;
-    walk.clear();
-    walk.push_back(t);
-    walk_stamp[t] = walk_epoch;
-    while (!walk.empty()) {
-      uint32_t s = walk.back();
-      walk.pop_back();
-      const Task& st = tasks[s];
-      for (uint32_t i = 0; i < st.child_count; ++i) {
-        uint32_t c = child_arena[st.child_begin + i];
-        if (walk_stamp[c] == walk_epoch) continue;
-        walk_stamp[c] = walk_epoch;
-        const Task& child = tasks[c];
-        if (child.size == Task::kOverGrain && !child.scheduled) {
-          walk.push_back(c);  // Inline skeleton: look through it.
-          continue;
-        }
-        if (child.job == Task::kNoJob) continue;  // Inline atomic subtree.
-        if (job_stamp[child.job] == walk_epoch) continue;
-        job_stamp[child.job] = walk_epoch;
-        edges.emplace_back(child.job, tasks[t].job);
-        ++jobs[tasks[t].job].deps;
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  std::vector<uint32_t> parent_count(jobs.size(), 0);
-  for (const auto& [child, parent] : edges) ++parent_count[child];
-  uint32_t offset = 0;
-  for (uint32_t j = 0; j < jobs.size(); ++j) {
-    jobs[j].parent_begin = offset;
-    jobs[j].parent_count = parent_count[j];
-    offset += parent_count[j];
-  }
-  graph->parents.resize(offset);
-  std::vector<uint32_t> fill(jobs.size(), 0);
-  for (const auto& [child, parent] : edges) {
-    graph->parents[jobs[child].parent_begin + fill[child]++] = parent;
-  }
-
-  // Publish flags: results every dependent job reads from the shared memo
-  // (scheduled tasks and claimed atomic subtree roots), plus subproblems
-  // shared widely enough in the DAG that racing workers should reuse
-  // rather than recompute them.
-  graph->publish.assign(tree.size(), 0);
-  for (const Task& task : tasks) {
-    bool big_shared =
-        task.refs > 0 &&  // Referenced at least twice in the DAG.
-        (task.size == Task::kOverGrain || task.size >= kMinSharedSubtree);
-    if (task.scheduled || task.job != Task::kNoJob || big_shared) {
-      graph->publish[task.node] = 1;
-    }
-  }
-  return true;
-}
-
-// Runs the jobs of `graph` over per-worker work-stealing deques; returns
-// the root distribution.
-Distribution RunTaskGraph(const DTree& tree, const VariableTable& variables,
-                          const Semiring& semiring,
-                          const ProbabilityOptions& options, size_t threads,
-                          TaskGraph* graph) {
-  const std::vector<Task>& tasks = graph->tasks;
-  const std::vector<Job>& jobs = graph->jobs;
-  StripedMemo shared;
-  WorkStealingDeques deques(threads);
-  std::unique_ptr<std::atomic<uint32_t>[]> deps(
-      new std::atomic<uint32_t>[jobs.size()]);
-  size_t seeded = 0;
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    deps[j].store(jobs[j].deps, std::memory_order_relaxed);
-  }
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].deps == 0) {
-      deques.Push(seeded++ % threads, static_cast<uint32_t>(j));
-    }
-  }
-  std::atomic<size_t> remaining{jobs.size()};
-
-  ParallelFor(static_cast<int>(threads), threads, [&](size_t worker) {
-    // Worker-local kernel: its dense memo persists across this worker's
-    // jobs (subproblem distributions are pure, so stale entries are
-    // simply warm cache).
-    Kernel kernel(tree, variables, semiring, options);
-    kernel.AttachShared(&shared, &graph->publish);
-    uint32_t idle_spins = 0;
-    for (;;) {
-      if (remaining.load(std::memory_order_acquire) == 0) return;
-      uint32_t j;
-      if (!deques.Pop(worker, &j) && !deques.Steal(worker, &j)) {
-        // Brief backoff: the frontier can momentarily run dry while
-        // predecessors are still in flight.
-        if (++idle_spins < 16) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(idle_spins < 64 ? 100 : 500));
-        }
-        continue;
-      }
-      idle_spins = 0;
-      const Job& job = jobs[j];
-      try {
-        for (uint32_t m = 0; m < job.member_count; ++m) {
-          const Task& task = tasks[graph->members[job.member_begin + m]];
-          kernel.Compute(task.node, task.clamp);
-        }
-      } catch (...) {
-        // Release every worker before propagating (ParallelFor rethrows
-        // the first exception on the caller).
-        remaining.store(0, std::memory_order_release);
-        throw;
-      }
-      for (uint32_t i = 0; i < job.parent_count; ++i) {
-        uint32_t p = graph->parents[job.parent_begin + i];
-        if (deps[p].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          deques.Push(worker, p);
-        }
-      }
-      remaining.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  });
-
-  Distribution result;
-  PVC_CHECK_MSG(shared.Get(tree.root(), kNoClamp, &result),
-                "intra-tree parallel pass did not produce the root");
-  return result;
-}
-
 }  // namespace
 
 Distribution ComputeDistribution(const DTree& tree,
@@ -895,21 +363,6 @@ Distribution ComputeDistribution(const DTree& tree,
                                  const Semiring& semiring,
                                  ProbabilityOptions options) {
   PVC_CHECK_MSG(tree.size() > 0, "cannot compute distribution of empty tree");
-  size_t threads = ResolveThreadCount(options.num_threads);
-  if (threads > 1 && !InParallelWorker() &&
-      tree.size() >= kMinParallelTreeSize) {
-    // Intra-tree parallel pass: enumerate and coarsen the subproblem DAG,
-    // then execute it Kahn-style over work-stealing deques with a
-    // lock-striped shared memo. Every memo entry is the exact distribution
-    // of its subproblem and per-node reductions keep the serial order, so
-    // the result is bit-identical to the serial pass below.
-    Kernel analysis(tree, variables, semiring, options);
-    TaskGraph graph;
-    if (BuildTaskGraph(tree, &analysis, threads, &graph)) {
-      return RunTaskGraph(tree, variables, semiring, options, threads,
-                          &graph);
-    }
-  }
   Kernel kernel(tree, variables, semiring, options);
   return kernel.Compute(tree.root(), kNoClamp);
 }

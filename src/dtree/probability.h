@@ -9,15 +9,9 @@
 //
 // The pass is an iterative explicit-stack kernel over (node, clamp bound)
 // subproblems with a dense node-indexed memo -- no recursion depth limit
-// on deep d-trees and no hashing per node. With num_threads > 1 the pass
-// goes *intra-tree* parallel: the subproblem DAG is enumerated and
-// coarsened into medium-grained subtree tasks, a topological dependency
-// order feeds per-worker work-stealing deques over the shared ThreadPool,
-// and workers exchange pure subtree distributions through a lock-striped
-// shared memo. Every memo entry is the exact distribution of its
-// subproblem and each node's reduction runs left-to-right exactly as in
-// the serial pass, so the parallel result is bit-identical to serial for
-// every thread count.
+// on deep d-trees and no hashing per node. The pass is serial: callers
+// that want parallelism run independent d-trees concurrently (one per
+// result tuple), each through its own pass.
 //
 // For comparisons of bounded SUM/COUNT aggregates against a constant c,
 // partial distributions are clamped at c+1 ("overflow" bucket): every value
@@ -43,13 +37,6 @@ namespace pvcdb {
 struct ProbabilityOptions {
   /// Enables the c+1 overflow clamp for SUM/COUNT comparisons.
   bool enable_sum_clamping = true;
-  /// Intra-d-tree parallelism: fans coarsened subtree tasks of one d-tree
-  /// across up to this many threads via work-stealing deques and a
-  /// lock-striped shared memo; 0 (default) and 1 mean serial, negative
-  /// means all hardware threads. Bit-identical to serial for every value
-  /// (see the file comment). Engine facades plumb
-  /// EvalOptions::intra_tree_threads into this knob.
-  int num_threads = 0;
 };
 
 /// Computes the probability distribution of a compiled d-tree.

@@ -687,9 +687,8 @@ std::vector<std::pair<std::string, QueryPtr>> Coordinator::ViewCatalog()
 
 // -- Evaluation knobs -------------------------------------------------------
 
-void Coordinator::SetEvalOptions(int num_threads, int intra_tree_threads) {
+void Coordinator::SetEvalOptions(int num_threads) {
   local_.eval_options().num_threads = num_threads;
-  local_.eval_options().intra_tree_threads = intra_tree_threads;
   for (size_t s = 0; s < workers_.size(); ++s) SendOptionsTo(s);
 }
 
@@ -698,8 +697,6 @@ void Coordinator::SendOptionsTo(size_t s) {
   EvalOptionsMsg msg;
   // Round-trips negative counts (-1 = all cores) through the u32 field.
   msg.num_threads = static_cast<uint32_t>(local_.eval_options().num_threads);
-  msg.intra_tree_threads =
-      static_cast<uint32_t>(local_.eval_options().intra_tree_threads);
   try {
     workers_[s].Call(MsgKind::kSetOptions, msg.Encode(), MsgKind::kOk);
   } catch (const WorkerDown&) {
@@ -963,7 +960,7 @@ void Coordinator::HeartbeatTick(std::vector<std::string>* lines) {
     WorkerHealthState& h = health_[s];
     std::string who = "worker " + std::to_string(s);
     if (!workers_[s].down()) {
-      PVCDB_COUNTER_ADD("coordinator.heartbeats_sent", 1);
+      PVCDB_COUNTER_ADD("coord.heartbeats_sent", 1);
       PongMsg pong;
       if (workers_[s].Ping(next_ping_nonce_++, &pong)) {
         if (h.misses != 0) note(who + ": healthy (heartbeat restored)");
@@ -975,7 +972,7 @@ void Coordinator::HeartbeatTick(std::vector<std::string>* lines) {
       }
       // Ping marked the stub down (the transport is poisoned); the walk
       // below decides suspect vs down and whether to respawn next ticks.
-      PVCDB_COUNTER_ADD("coordinator.heartbeats_missed", 1);
+      PVCDB_COUNTER_ADD("coord.heartbeats_missed", 1);
       ++h.misses;
       note("warning: " + who + " " +
            WorkerHealthName(h.misses < ft_options_.down_after_misses
@@ -1019,7 +1016,7 @@ void Coordinator::HeartbeatTick(std::vector<std::string>* lines) {
     std::string error;
     ResyncStats stats;
     if (Respawn(s, &error, &stats)) {
-      PVCDB_COUNTER_ADD("coordinator.auto_respawns", 1);
+      PVCDB_COUNTER_ADD("coord.auto_respawns", 1);
       h.misses = 0;
       h.respawn_backoff.Reset();
       h.breaker->RecordSuccess();
@@ -1043,8 +1040,7 @@ void Coordinator::HeartbeatTick(std::vector<std::string>* lines) {
       }
     }
   }
-  PVCDB_GAUGE_SET("coordinator.circuit_open",
-                  static_cast<int64_t>(open_circuits));
+  PVCDB_GAUGE_SET("coord.circuit_open", static_cast<int64_t>(open_circuits));
 }
 
 std::vector<std::pair<uint64_t, uint32_t>> Coordinator::ShardTails() const {

@@ -205,7 +205,7 @@ class Coordinator {
   /// worker (kSetOptions). Not logged: every thread count computes
   /// bit-identical results, so parallelism is session state, not durable
   /// state; resyncs re-send the current options.
-  void SetEvalOptions(int num_threads, int intra_tree_threads);
+  void SetEvalOptions(int num_threads);
 
   // -- Catalog ------------------------------------------------------------
 

@@ -13,11 +13,9 @@ namespace pvcdb {
 Distribution IsolatedAnnotationDistribution(const ExprPool& source,
                                             const VariableTable& variables,
                                             ExprId annotation,
-                                            const CompileOptions& options,
-                                            int intra_tree_threads) {
+                                            const CompileOptions& options) {
   // One pipeline for every facade and the step II cache alike (delta.h).
-  return IsolatedCompileAndDistribution(source, variables, annotation,
-                                        options, intra_tree_threads)
+  return IsolatedCompileAndDistribution(source, variables, annotation, options)
       .distribution;
 }
 
@@ -269,9 +267,7 @@ PvcTable Database::RunDeterministic(const Query& q) {
 Distribution Database::DistributionOfExpr(ExprId e) {
   VariableTable::EvalScope scope(*variables_);
   DTree tree = CompileToDTree(&pool_, variables_.get(), e, compile_options_);
-  ProbabilityOptions popts;
-  popts.num_threads = eval_options_.intra_tree_threads;
-  return ComputeDistribution(tree, *variables_, pool_.semiring(), popts);
+  return ComputeDistribution(tree, *variables_, pool_.semiring());
 }
 
 double Database::TupleProbability(const Row& row) {
@@ -292,8 +288,7 @@ std::vector<Distribution> Database::AnnotationDistributions(
   ParallelFor(eval_options_.num_threads, table.NumRows(), [&](size_t i) {
     out[i] = IsolatedAnnotationDistribution(pool_, *variables_,
                                             table.row(i).annotation,
-                                            compile_options_,
-                                            eval_options_.intra_tree_threads);
+                                            compile_options_);
   });
   return out;
 }

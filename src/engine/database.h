@@ -36,14 +36,10 @@ struct WalRecord;
 /// pass. Both facades must call this one function -- the sharded engine's
 /// bit-identity contract depends on the pipelines not drifting apart.
 /// `source` is only read, so concurrent calls against one pool are safe.
-/// `intra_tree_threads` fans the probability pass across subtrees of this
-/// one d-tree (EvalOptions::intra_tree_threads; bit-identical to serial
-/// and automatically serial inside an outer parallel batch).
 Distribution IsolatedAnnotationDistribution(const ExprPool& source,
                                             const VariableTable& variables,
                                             ExprId annotation,
-                                            const CompileOptions& options,
-                                            int intra_tree_threads = 0);
+                                            const CompileOptions& options);
 
 /// A probabilistic database: named pvc-tables + the variable table X + the
 /// expression pool, plus query evaluation and probability computation.

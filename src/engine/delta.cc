@@ -11,7 +11,7 @@ namespace pvcdb {
 
 CompiledDistribution IsolatedCompileAndDistribution(
     const ExprPool& source, const VariableTable& variables, ExprId annotation,
-    const CompileOptions& options, int intra_tree_threads) {
+    const CompileOptions& options) {
   ExprPool local(source.semiring().kind());
   ExprId e = source.CloneInto(&local, annotation);
   CompiledDistribution out;
@@ -23,12 +23,10 @@ CompiledDistribution IsolatedCompileAndDistribution(
     out.tree = CompileToDTree(&local, &variables, e, options);
   }
   PVCDB_COUNTER_ADD("engine.dtrees_compiled", 1);
-  ProbabilityOptions popts;
-  popts.num_threads = intra_tree_threads;
   {
     PVCDB_SPAN_SAMPLED(step2_span, "step2", 8);
     out.distribution =
-        ComputeDistribution(out.tree, variables, local.semiring(), popts);
+        ComputeDistribution(out.tree, variables, local.semiring());
   }
   return out;
 }
@@ -145,8 +143,7 @@ std::vector<double> StepTwoCache::Probabilities(
   std::vector<CompiledDistribution> compiled(missing.size());
   ParallelFor(eval_options.num_threads, missing.size(), [&](size_t i) {
     compiled[i] =
-        IsolatedCompileAndDistribution(pool, variables, missing[i], options,
-                                       eval_options.intra_tree_threads);
+        IsolatedCompileAndDistribution(pool, variables, missing[i], options);
   });
 
   // Serial phase: memoize and index the new entries. An annotation that

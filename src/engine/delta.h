@@ -74,14 +74,10 @@ struct CompiledDistribution {
 /// The per-row step II pipeline behind every probability pass and cache
 /// fill: clone the annotation from `source` into a task-private pool,
 /// compile it, run the bottom-up probability pass. `source` is only read,
-/// so concurrent calls against one pool are safe. `intra_tree_threads`
-/// fans the probability pass across subtrees of this one d-tree
-/// (EvalOptions::intra_tree_threads; bit-identical to serial, and
-/// automatically serial when the caller already runs inside a parallel
-/// batch).
+/// so concurrent calls against one pool are safe.
 CompiledDistribution IsolatedCompileAndDistribution(
     const ExprPool& source, const VariableTable& variables, ExprId annotation,
-    const CompileOptions& options, int intra_tree_threads = 0);
+    const CompileOptions& options);
 
 /// True when both distributions have the same support (value sets); the
 /// condition under which a cached d-tree survives a distribution update.
@@ -113,8 +109,7 @@ class StepTwoCache {
 
   /// P[Phi != 0_S] for every row of `table`, in row order: cached entries
   /// answer directly, misses run the per-row pipeline fanned across up to
-  /// `eval_options.num_threads` threads (each row's probability pass using
-  /// `eval_options.intra_tree_threads`) and are memoized. Bit-identical to
+  /// `eval_options.num_threads` threads and are memoized. Bit-identical to
   /// an uncached batch pass at any thread count. When insert/delete churn
   /// has grown the cache well past the live row count, dead entries
   /// (annotations no row references any more) are evicted first, bounding

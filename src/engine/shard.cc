@@ -379,14 +379,13 @@ std::vector<Distribution> ShardedDatabase::DistributionsImpl(
   std::vector<Distribution> out(order.size());
   const VariableTable& vars = variables();
   CompileOptions compile_options = coordinator_.compile_options();
-  int intra_tree = coordinator_.eval_options().intra_tree_threads;
   ParallelFor(coordinator_.eval_options().num_threads, order.size(),
               [&](size_t i) {
                 const auto& [part, row] = order[i];
                 const PartRef& ref = parts[part];
                 out[i] = IsolatedAnnotationDistribution(
                     *ref.pool, vars, ref.table->row(row).annotation,
-                    compile_options, intra_tree);
+                    compile_options);
               });
   return out;
 }

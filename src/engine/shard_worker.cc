@@ -230,7 +230,6 @@ ChainResultMsg ShardWorker::HandleEvalChain(const EvalChainMsg& msg) {
   reply.schema = schema;
   reply.rows.reserve(part.NumRows());
   const CompileOptions& compile_options = db_->compile_options();
-  int intra_tree = db_->eval_options().intra_tree_threads;
   for (size_t j = 0; j < part.NumRows(); ++j) {
     const Row& r = part.row(j);
     const ExprNode& node = db_->pool().node(r.annotation);
@@ -241,8 +240,7 @@ ChainResultMsg ShardWorker::HandleEvalChain(const EvalChainMsg& msg) {
     row.cells = r.cells;
     row.var = node.var();
     Distribution d = IsolatedAnnotationDistribution(
-        db_->pool(), db_->variables(), r.annotation, compile_options,
-        intra_tree);
+        db_->pool(), db_->variables(), r.annotation, compile_options);
     row.probability = NonZeroMass(d);
     if (msg.want_distributions) row.distribution = std::move(d);
     reply.rows.push_back(std::move(row));
@@ -257,13 +255,12 @@ ProbsResultMsg ShardWorker::HandleTableProbs(const TableProbsMsg& msg) {
   ProbsResultMsg reply;
   reply.rows.reserve(partition.NumRows());
   const CompileOptions& compile_options = db_->compile_options();
-  int intra_tree = db_->eval_options().intra_tree_threads;
   for (size_t j = 0; j < partition.NumRows(); ++j) {
     ProbRow row;
     row.global_row = static_cast<uint64_t>(state.global[j]);
     Distribution d = IsolatedAnnotationDistribution(
         db_->pool(), db_->variables(), partition.row(j).annotation,
-        compile_options, intra_tree);
+        compile_options);
     row.probability = NonZeroMass(d);
     if (msg.want_distributions) row.distribution = std::move(d);
     reply.rows.push_back(std::move(row));
@@ -496,8 +493,6 @@ bool ShardWorker::Handle(MsgKind kind, const std::string& payload,
         // bit-identical by construction, so the chain ignores it and the
         // coordinator re-sends it on respawn instead of replaying it.
         db_->eval_options().num_threads = static_cast<int>(msg.num_threads);
-        db_->eval_options().intra_tree_threads =
-            static_cast<int>(msg.intra_tree_threads);
         ok(0);
         return true;
       }

@@ -296,14 +296,12 @@ bool ViewInfoMsg::Decode(const std::string& payload, ViewInfoMsg* out) {
 std::string EvalOptionsMsg::Encode() const {
   std::string out;
   EncodeU32(&out, num_threads);
-  EncodeU32(&out, intra_tree_threads);
   return out;
 }
 
 bool EvalOptionsMsg::Decode(const std::string& payload, EvalOptionsMsg* out) {
   ByteReader reader(payload);
   out->num_threads = reader.ReadU32();
-  out->intra_tree_threads = reader.ReadU32();
   return reader.ok() && reader.AtEnd();
 }
 

@@ -56,7 +56,9 @@ namespace pvcdb {
 /// durability position so every heartbeat doubles as a (lsn, chain) probe
 /// (the coordinator's health cycle and its exactly-once mutation
 /// resolution both ride on it).
-constexpr uint32_t kProtocolVersion = 4;
+/// Version 5 shrank the kSetOptions payload to EvalOptionsMsg{num_threads}
+/// (4 bytes): the per-d-tree thread count it also carried is gone.
+constexpr uint32_t kProtocolVersion = 5;
 
 /// Frame kind bytes. Requests are < 64, replies 64–127, client traffic
 /// >= 128 — the ranges make a reply-where-request-expected bug an
@@ -273,13 +275,12 @@ struct ViewInfoMsg {
 // Durability plane: per-worker evaluation options and WAL-shipping resync.
 // ---------------------------------------------------------------------------
 
-/// kSetOptions: mirrors the coordinator's intra-command parallelism knobs
-/// onto the worker (shell `threads` / `intratree`). Bit-identity is by
-/// construction — parallel passes produce identical bytes — so this is
-/// never WAL-logged or replayed; the coordinator re-sends it on respawn.
+/// kSetOptions: mirrors the coordinator's intra-command parallelism knob
+/// onto the worker (shell `threads`). Bit-identity is by construction —
+/// parallel passes produce identical bytes — so this is never WAL-logged
+/// or replayed; the coordinator re-sends it on respawn.
 struct EvalOptionsMsg {
   uint32_t num_threads = 1;
-  uint32_t intra_tree_threads = 1;
 
   std::string Encode() const;
   static bool Decode(const std::string& payload, EvalOptionsMsg* out);

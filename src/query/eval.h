@@ -44,16 +44,6 @@ struct EvalOptions {
   /// probability passes) fans out, while all ExprPool interning and every
   /// floating-point reduction stay on the calling thread in serial order.
   int num_threads = 0;
-  /// Intra-d-tree parallelism for the step II probability pass (same
-  /// convention: 0/1 serial, negative = all hardware threads): one tuple's
-  /// d-tree fans coarsened subtree tasks across work-stealing deques with
-  /// a lock-striped shared memo (ProbabilityOptions::num_threads).
-  /// Orthogonal to `num_threads`: inside a tuple-parallel batch the
-  /// intra-tree pass detects the nesting and stays serial, so the knob
-  /// pays off exactly where tuple-level parallelism cannot -- skewed
-  /// batches dominated by one giant annotation, and single-row calls.
-  /// Bit-identical to serial for every value.
-  int intra_tree_threads = 0;
   /// Capacity bound of the per-view step II caches (StepTwoCache), in
   /// cached annotations; least-recently-used entries are evicted beyond
   /// it. 0 (default) keeps the caches unbounded.

@@ -198,8 +198,6 @@ void ServerHelp(std::ostream& out) {
       << "  respawn <shard>          replace a down worker\n"
       << "  threads [n]              show or set the thread count\n"
       << "                           (0 = serial, -1 = all cores)\n"
-      << "  intratree [n]            show or set the intra-d-tree\n"
-      << "                           probability thread count\n"
       << "  save                     checkpoint the durable directory\n"
       << "  log                      durable directory status\n"
       << "  shutdown                 stop the server\n"
@@ -517,28 +515,20 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
     } else if (command == "shutdown") {
       *shutdown = true;
       out << "shutting down\n";
-    } else if (command == "threads" || command == "intratree") {
+    } else if (command == "threads") {
       if (session == nullptr) {
         out << "command '" << command << "' is not available in server mode\n";
         reply.ok = false;
       } else {
         int n = 0;
         if (stream >> n) {
-          (command == "threads" ? session->num_threads
-                                : session->intra_tree_threads) = n;
-          backend->SetEvalOptions(session->num_threads,
-                                  session->intra_tree_threads);
+          session->num_threads = n;
+          backend->SetEvalOptions(session->num_threads, 0);
         }
-        // Mirrors the shell's display exactly (session-level knob values,
-        // not the engine's resolved counts).
-        if (command == "threads") {
-          out << "num_threads = " << session->num_threads << " (0 = serial; "
-              << DefaultThreadCount() << " hardware threads)\n";
-        } else {
-          out << "intra_tree_threads = " << session->intra_tree_threads
-              << " (0 = serial; " << DefaultThreadCount()
-              << " hardware threads)\n";
-        }
+        // Mirrors the shell's display exactly (the session-level knob
+        // value, not the engine's resolved count).
+        out << "num_threads = " << session->num_threads << " (0 = serial; "
+            << DefaultThreadCount() << " hardware threads)\n";
       }
     } else if (command == "save") {
       if (session == nullptr || session->durable == nullptr) {

@@ -75,8 +75,11 @@ class ServeBackend {
   /// `respawn <s>`: replaces a down worker. False + message on failure.
   virtual bool Respawn(size_t shard, std::string* message) = 0;
 
-  /// `threads` / `intratree`: pushes the evaluation thread knobs into the
-  /// engine (and, for remote workers, over the wire via kSetOptions).
+  /// `threads`: pushes the evaluation thread count into the engine (and,
+  /// for remote workers, over the wire via kSetOptions). The second
+  /// argument is unused: both backends ignore it and ExecuteCommand
+  /// passes 0. It survives only because the benchmark's replay backend
+  /// overrides this signature; a change to the benchmark drops it.
   virtual void SetEvalOptions(int num_threads, int intra_tree_threads) = 0;
 
   /// `stats`: one snapshot of every metric this backend can see. The
@@ -123,9 +126,8 @@ class InProcessBackend : public ServeBackend {
   }
   std::string Workers() override;
   bool Respawn(size_t shard, std::string* message) override;
-  void SetEvalOptions(int num_threads, int intra_tree_threads) override {
+  void SetEvalOptions(int num_threads, int /*intra_tree_threads*/) override {
     db_->eval_options().num_threads = num_threads;
-    db_->eval_options().intra_tree_threads = intra_tree_threads;
   }
   std::vector<MetricSnapshot> StatsSnapshot() override {
     return MetricsRegistry::Global().Snapshot();
@@ -181,8 +183,8 @@ class RemoteBackend : public ServeBackend {
   }
   std::string Workers() override;
   bool Respawn(size_t shard, std::string* message) override;
-  void SetEvalOptions(int num_threads, int intra_tree_threads) override {
-    coordinator_->SetEvalOptions(num_threads, intra_tree_threads);
+  void SetEvalOptions(int num_threads, int /*intra_tree_threads*/) override {
+    coordinator_->SetEvalOptions(num_threads);
   }
   std::vector<MetricSnapshot> StatsSnapshot() override {
     return coordinator_->AggregatedStats();
@@ -193,13 +195,12 @@ class RemoteBackend : public ServeBackend {
 };
 
 /// Mutable per-server state beyond the backend: the durable session (for
-/// `save` / `log`) and the session-level thread knobs (`threads` /
-/// `intratree`, mirroring the shell's display semantics). Null members
-/// render those commands unavailable.
+/// `save` / `log`) and the session-level thread knob (`threads`, mirroring
+/// the shell's display semantics). Null members render those commands
+/// unavailable.
 struct ServeSession {
   DurableSession* durable = nullptr;
   int num_threads = 0;
-  int intra_tree_threads = 0;
 };
 
 /// Parses and executes one shell command line against `backend`, rendering

@@ -80,12 +80,11 @@ size_t ResolveThreadCount(int num_threads) {
   return std::max(static_cast<size_t>(num_threads), size_t{1});
 }
 
-bool InParallelWorker() { return tls_in_parallel_worker; }
-
 void ParallelFor(int num_threads, size_t n,
                  const std::function<void(size_t)>& fn) {
   size_t threads = std::min(ResolveThreadCount(num_threads), n);
-  if (threads <= 1 || InParallelWorker()) {
+  // Nested calls run serially instead of re-entering the shared pool.
+  if (threads <= 1 || tls_in_parallel_worker) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -137,41 +136,6 @@ void ParallelFor(int num_threads, size_t n,
     state.done.wait(lock, [&state] { return state.active_helpers == 0; });
     if (state.error) std::rethrow_exception(state.error);
   }
-}
-
-WorkStealingDeques::WorkStealingDeques(size_t num_workers) {
-  deques_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
-}
-
-void WorkStealingDeques::Push(size_t worker, uint32_t task) {
-  Deque& d = *deques_[worker];
-  std::unique_lock<std::mutex> lock(d.mutex);
-  d.items.push_back(task);
-}
-
-bool WorkStealingDeques::Pop(size_t worker, uint32_t* task) {
-  Deque& d = *deques_[worker];
-  std::unique_lock<std::mutex> lock(d.mutex);
-  if (d.items.empty()) return false;
-  *task = d.items.back();
-  d.items.pop_back();
-  return true;
-}
-
-bool WorkStealingDeques::Steal(size_t thief, uint32_t* task) {
-  size_t n = deques_.size();
-  for (size_t step = 1; step <= n; ++step) {
-    Deque& d = *deques_[(thief + step) % n];
-    std::unique_lock<std::mutex> lock(d.mutex);
-    if (d.items.empty()) continue;
-    *task = d.items.front();
-    d.items.pop_front();
-    return true;
-  }
-  return false;
 }
 
 }  // namespace pvcdb

@@ -19,10 +19,8 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -69,11 +67,6 @@ size_t DefaultThreadCount();
 /// 0 and 1 mean serial (returns 1), negative means all hardware threads.
 size_t ResolveThreadCount(int num_threads);
 
-/// True while the current thread is executing ParallelFor iterations
-/// (worker or participating caller). Nested ParallelFor calls detect this
-/// and run serially instead of re-entering the shared pool.
-bool InParallelWorker();
-
 /// Runs fn(i) for every i in [0, n) on up to `num_threads` threads, the
 /// caller included. Iterations are claimed dynamically from a shared atomic
 /// counter, so which thread runs which iteration is unspecified; results
@@ -85,40 +78,6 @@ bool InParallelWorker();
 /// remaining iterations are abandoned.
 void ParallelFor(int num_threads, size_t n,
                  const std::function<void(size_t)>& fn);
-
-/// Per-worker task deques for dynamic DAG scheduling (the intra-d-tree
-/// parallel probability pass): each worker pushes and pops ready tasks at
-/// the *back* of its own deque (LIFO keeps the working set hot), and a
-/// worker whose deque ran dry steals from the *front* of a victim's deque
-/// (FIFO steals grab the oldest -- typically largest -- subproblems).
-/// Deques are individually mutex-guarded: operations are a few nanoseconds
-/// against task granularities of microseconds, and the lock gives the
-/// scheduler a sequentially consistent happens-before chain that is easy
-/// to reason about under TSan.
-class WorkStealingDeques {
- public:
-  explicit WorkStealingDeques(size_t num_workers);
-
-  size_t num_workers() const { return deques_.size(); }
-
-  /// Pushes `task` onto `worker`'s deque.
-  void Push(size_t worker, uint32_t task);
-
-  /// Pops the most recent task of `worker`'s own deque; false when empty.
-  bool Pop(size_t worker, uint32_t* task);
-
-  /// Steals the oldest task from some other worker's deque, scanning
-  /// victims round-robin from `thief + 1`; false when all deques are empty.
-  bool Steal(size_t thief, uint32_t* task);
-
- private:
-  struct Deque {
-    std::mutex mutex;
-    std::deque<uint32_t> items;
-  };
-
-  std::vector<std::unique_ptr<Deque>> deques_;
-};
 
 }  // namespace pvcdb
 

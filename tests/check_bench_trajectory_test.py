@@ -34,9 +34,9 @@ def shard_run(serial_rps, parallel_rps, hardware_threads=8):
                    rows_per_second=parallel_rps)]
 
 
-def hotpath_run(speedup, hardware_threads=8):
-    return [record("hotpath_giant_tree", 0, 4, hardware_threads,
-                   speedup_vs_serial=speedup)]
+def ivm_run(speedup, hardware_threads=8):
+    return [record("ivm_select", 0, 1, hardware_threads,
+                   speedup_incremental_vs_recompute=speedup)]
 
 
 class CheckBenchTrajectoryTest(unittest.TestCase):
@@ -61,39 +61,38 @@ class CheckBenchTrajectoryTest(unittest.TestCase):
 
     def run_speedup(self, current, baseline):
         return self.run_script(current, baseline, "--metric", "speedup",
-                               "--series", "hotpath_giant_tree",
-                               "--field", "speedup_vs_serial",
-                               "--shards", "0", "--threads", "4")
+                               "--series", "ivm_select",
+                               "--shards", "0", "--threads", "1")
 
     def test_speedup_within_threshold_passes(self):
-        current = self.write("current.json", hotpath_run(2.9))
-        baseline = self.write("baseline.json", hotpath_run(3.0))
+        current = self.write("current.json", ivm_run(45.0))
+        baseline = self.write("baseline.json", ivm_run(50.0))
         result = self.run_speedup(current, baseline)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("OK", result.stdout)
 
     def test_speedup_regression_fails(self):
-        current = self.write("current.json", hotpath_run(1.2))
-        baseline = self.write("baseline.json", hotpath_run(3.0))
+        current = self.write("current.json", ivm_run(20.0))
+        baseline = self.write("baseline.json", ivm_run(50.0))
         result = self.run_speedup(current, baseline)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("FAIL", result.stdout)
 
     def test_speedup_skipped_when_current_is_single_core(self):
-        # The satellite case: a 0.38x "speedup" recorded on a 1-CPU host
-        # must not arm the gate, no matter how bad it looks.
+        # A speedup recorded on a 1-CPU host must not arm the gate, no
+        # matter how bad it looks.
         current = self.write("current.json",
-                             hotpath_run(0.38, hardware_threads=1))
-        baseline = self.write("baseline.json", hotpath_run(3.0))
+                             ivm_run(0.38, hardware_threads=1))
+        baseline = self.write("baseline.json", ivm_run(50.0))
         result = self.run_speedup(current, baseline)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("SKIPPED", result.stdout)
         self.assertIn("hardware_threads=1", result.stdout)
 
     def test_speedup_skipped_when_baseline_is_single_core(self):
-        current = self.write("current.json", hotpath_run(3.0))
+        current = self.write("current.json", ivm_run(50.0))
         baseline = self.write("baseline.json",
-                              hotpath_run(0.40, hardware_threads=1))
+                              ivm_run(0.40, hardware_threads=1))
         result = self.run_speedup(current, baseline)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("SKIPPED", result.stdout)
@@ -221,7 +220,7 @@ class CheckBenchTrajectoryTest(unittest.TestCase):
         self.assertIn("OK", result.stdout)
 
     def test_overhead_pct_missing_record_exits_2(self):
-        current = self.write("current.json", hotpath_run(3.0))
+        current = self.write("current.json", ivm_run(50.0))
         result = self.run_overhead(current)
         self.assertEqual(result.returncode, 2, result.stdout)
 
@@ -234,17 +233,17 @@ class CheckBenchTrajectoryTest(unittest.TestCase):
         self.assertIn("--baseline is required", result.stderr)
 
     def test_missing_record_exits_2(self):
-        current = self.write("current.json", hotpath_run(3.0))
+        current = self.write("current.json", ivm_run(50.0))
         baseline = self.write("baseline.json", [])
         result = self.run_speedup(current, baseline)
         self.assertEqual(result.returncode, 2, result.stdout)
 
     def test_non_bit_identical_record_fails(self):
-        broken = record("hotpath_giant_tree", 0, 4, 8,
-                        speedup_vs_serial=3.0)
+        broken = record("ivm_select", 0, 1, 8,
+                        speedup_incremental_vs_recompute=50.0)
         broken["params"]["bit_identical"] = "false"
         current = self.write("current.json", [broken])
-        baseline = self.write("baseline.json", hotpath_run(3.0))
+        baseline = self.write("baseline.json", ivm_run(50.0))
         result = self.run_speedup(current, baseline)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("bit-identical", result.stdout)

@@ -5,9 +5,9 @@
 //     updates, view changes and reshards, crashing at a RANDOM WAL byte
 //     offset and recovering yields exactly the durable prefix --
 //     bit-identical to a never-crashed twin even when the recovered
-//     engine evaluates with tuple-level AND intra-d-tree parallelism
-//     while the twin stays serial (the engine's parallel paths promise
-//     bitwise equality with serial; recovery must not break that).
+//     engine evaluates with tuple-level parallelism while the twin stays
+//     serial (the engine's parallel paths promise bitwise equality with
+//     serial; recovery must not break that).
 //
 //  2. Bounding the step II caches (EvalOptions::step_two_cache_capacity)
 //     so the mutation/query stream forces LRU evictions changes nothing:
@@ -86,13 +86,11 @@ std::unique_ptr<DurableSession> CrashAndRecover(
   return recovered;
 }
 
-void SetThreads(DurableSession* session, int num_threads,
-                int intra_tree_threads) {
+void SetThreads(DurableSession* session, int num_threads) {
   EvalOptions& options = session->is_sharded()
                              ? session->sharded()->eval_options()
                              : session->db()->eval_options();
   options.num_threads = num_threads;
-  options.intra_tree_threads = intra_tree_threads;
 }
 
 TEST(DurabilityPropertyTest, RandomCrashOffsetsRecoverBitIdentical) {
@@ -120,10 +118,10 @@ TEST(DurabilityPropertyTest, RandomCrashOffsetsRecoverBitIdentical) {
     std::unique_ptr<DurableSession> twin =
         BuildTwin(TestDir(tag + "_twin"), initial, workload, prefix);
 
-    // The recovered engine evaluates with tuple-parallel batches AND
-    // intra-d-tree parallelism; the twin stays serial. Bit-identity must
-    // survive both recovery and the parallel paths at once.
-    SetThreads(recovered.get(), /*num_threads=*/2, /*intra_tree_threads=*/2);
+    // The recovered engine evaluates with tuple-parallel batches; the twin
+    // stays serial. Bit-identity must survive both recovery and the
+    // parallel paths at once.
+    SetThreads(recovered.get(), /*num_threads=*/2);
     ExpectSameState(recovered.get(), twin.get(),
                     tag + " budget=" + std::to_string(budget));
   }

@@ -21,8 +21,6 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "src/engine/coordinator.h"
-#include "src/engine/shard_worker.h"
 #include "src/net/backoff.h"
 #include "src/net/fault.h"
 #include "src/net/protocol.h"
@@ -41,6 +38,7 @@
 #include "src/table/schema.h"
 #include "src/util/metrics.h"
 #include "src/util/timer.h"
+#include "tests/standalone_worker.h"
 
 namespace pvcdb {
 namespace {
@@ -71,19 +69,6 @@ class TempDir {
  private:
   std::string path_;
 };
-
-pid_t StartStandaloneWorker(const std::string& address) {
-  pid_t pid = fork();
-  if (pid == 0) {
-    _exit(ShardWorker::RunStandalone(address, /*quiet=*/true));
-  }
-  return pid;
-}
-
-void ReapWorker(pid_t pid) {
-  kill(pid, SIGKILL);
-  waitpid(pid, nullptr, 0);
-}
 
 std::vector<RemoteShard> DialWorkers(const std::vector<std::string>& addrs) {
   std::vector<RemoteShard> workers;
@@ -147,10 +132,9 @@ QueryRun RunChain(Coordinator* coordinator) {
 /// The never-faulted reference: its own worker, the identical workload
 /// (load + the one mutation the faulted run attempts), no proxy.
 struct Twin {
-  explicit Twin(const std::string& dir) {
-    address = dir + "/twin.sock";
-    pid = StartStandaloneWorker(address);
-    EXPECT_GT(pid, 0);
+  explicit Twin(const std::string& dir)
+      : address(dir + "/twin.sock"), worker(address) {
+    EXPECT_GT(worker.pid(), 0);
     coordinator = MakeCoordinator({address}, {address}, kRpcDeadlineMs);
     LoadItems(coordinator.get());
     coordinator->UpdateProbability(1, 0.45);
@@ -161,12 +145,10 @@ struct Twin {
   ~Twin() {
     coordinator->Shutdown();
     coordinator.reset();
-    int status = 0;
-    waitpid(pid, &status, 0);
   }
 
   std::string address;
-  pid_t pid = -1;
+  StandaloneWorker worker;
   std::unique_ptr<Coordinator> coordinator;
   QueryRun run;
   uint64_t lsn = 0;
@@ -183,9 +165,10 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
   TempDir dir;
   const std::vector<std::string> addrs = {dir.path() + "/w0.sock",
                                           dir.path() + "/w1.sock"};
-  std::vector<pid_t> pids;
-  for (const std::string& a : addrs) pids.push_back(StartStandaloneWorker(a));
-  for (pid_t pid : pids) ASSERT_GT(pid, 0);
+  StandaloneWorker frozen(addrs[0]);
+  StandaloneWorker healthy(addrs[1]);
+  ASSERT_GT(frozen.pid(), 0);
+  ASSERT_GT(healthy.pid(), 0);
 
   auto coordinator = MakeCoordinator(addrs, addrs, kRpcDeadlineMs);
   LoadItems(coordinator.get());
@@ -202,7 +185,7 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
   // Freeze worker 0 mid-service. Its listening socket still accepts and
   // its kernel buffers still take our request bytes -- the pathological
   // peer that only a deadline catches.
-  ASSERT_EQ(kill(pids[0], SIGSTOP), 0);
+  ASSERT_EQ(kill(frozen.pid(), SIGSTOP), 0);
 
   WallTimer timer;
   QueryRun degraded = RunChain(coordinator.get());
@@ -232,7 +215,7 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
   // Thaw and respawn: the worker kept its state (queries are reads), so
   // the resync proof passes with an empty tail and the distributed path
   // is bit-identical again.
-  ASSERT_EQ(kill(pids[0], SIGCONT), 0);
+  ASSERT_EQ(kill(frozen.pid(), SIGCONT), 0);
   std::string error;
   ResyncStats stats;
   ASSERT_TRUE(coordinator->Respawn(0, &error, &stats)) << error;
@@ -252,7 +235,6 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  for (pid_t pid : pids) ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,8 +247,8 @@ TEST(FaultInjectionTest, DroppedRequestShipsTheMutationExactlyOnce) {
   Twin twin(dir.path());
 
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
-  ASSERT_GT(pid, 0);
+  StandaloneWorker worker(worker_addr);
+  ASSERT_GT(worker.pid(), 0);
 
   FaultProxy proxy;
   std::string error;
@@ -316,7 +298,6 @@ TEST(FaultInjectionTest, DroppedRequestShipsTheMutationExactlyOnce) {
   coordinator->Shutdown();
   coordinator.reset();
   proxy.Stop();
-  ReapWorker(pid);
 }
 
 TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
@@ -325,8 +306,8 @@ TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
   Twin twin(dir.path());
 
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
-  ASSERT_GT(pid, 0);
+  StandaloneWorker worker(worker_addr);
+  ASSERT_GT(worker.pid(), 0);
 
   FaultProxy proxy;
   std::string error;
@@ -370,7 +351,6 @@ TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
   coordinator->Shutdown();
   coordinator.reset();
   proxy.Stop();
-  ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,8 +370,8 @@ TEST(FaultInjectionTest, MangledRepliesPoisonTheLinkWithoutReapplying) {
     SCOPED_TRACE("fault kind " + std::to_string(i));
     const std::string worker_addr =
         dir.path() + "/w" + std::to_string(i) + ".sock";
-    pid_t pid = StartStandaloneWorker(worker_addr);
-    ASSERT_GT(pid, 0);
+    StandaloneWorker worker(worker_addr);
+    ASSERT_GT(worker.pid(), 0);
 
     FaultProxy proxy;
     std::string error;
@@ -438,7 +418,6 @@ TEST(FaultInjectionTest, MangledRepliesPoisonTheLinkWithoutReapplying) {
     coordinator->Shutdown();
     coordinator.reset();
     proxy.Stop();
-    ReapWorker(pid);
   }
 }
 
@@ -451,8 +430,8 @@ TEST(FaultInjectionTest, DelayedThenFrozenLinkDegradesWithinTheDeadline) {
   SetMetricsEnabled(true);
   TempDir dir;
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
-  ASSERT_GT(pid, 0);
+  StandaloneWorker worker(worker_addr);
+  ASSERT_GT(worker.pid(), 0);
 
   FaultProxy proxy;
   std::string error;
@@ -503,7 +482,6 @@ TEST(FaultInjectionTest, DelayedThenFrozenLinkDegradesWithinTheDeadline) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -525,8 +503,8 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   TempDir dir;
   const std::string addr_a = dir.path() + "/a.sock";
   const std::string addr_b = dir.path() + "/b.sock";
-  pid_t pid_a = StartStandaloneWorker(addr_a);
-  ASSERT_GT(pid_a, 0);
+  StandaloneWorker worker_a(addr_a);
+  ASSERT_GT(worker_a.pid(), 0);
 
   // A spawner the test steers: count calls, fail on demand, and dial
   // whichever address the scenario says is live.
@@ -566,11 +544,11 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   LoadItems(coordinator.get());
 
   Counter* sent =
-      MetricsRegistry::Global().GetCounter("coordinator.heartbeats_sent");
+      MetricsRegistry::Global().GetCounter("coord.heartbeats_sent");
   Counter* missed =
-      MetricsRegistry::Global().GetCounter("coordinator.heartbeats_missed");
+      MetricsRegistry::Global().GetCounter("coord.heartbeats_missed");
   Counter* respawns =
-      MetricsRegistry::Global().GetCounter("coordinator.auto_respawns");
+      MetricsRegistry::Global().GetCounter("coord.auto_respawns");
   const uint64_t sent0 = sent->Value();
   const uint64_t missed0 = missed->Value();
   const uint64_t respawns0 = respawns->Value();
@@ -583,7 +561,7 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   EXPECT_EQ(sent->Value(), sent0 + 1);
 
   // Kill the worker. Tick 1: the ping fails -> suspect.
-  ReapWorker(pid_a);
+  worker_a.Kill();
   coordinator->HeartbeatTick(&lines);
   ASSERT_FALSE(lines.empty());
   EXPECT_NE(lines.back().find("suspect"), std::string::npos);
@@ -624,7 +602,7 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   }
   EXPECT_TRUE(saw_circuit);
   EXPECT_EQ(
-      MetricsRegistry::Global().GetGauge("coordinator.circuit_open")->Value(),
+      MetricsRegistry::Global().GetGauge("coord.circuit_open")->Value(),
       1);
 
   clock.Advance(500);
@@ -639,8 +617,8 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   // The failures age out of the window; a replacement worker comes up at
   // the standby address and the next tick heals the shard end to end.
   clock.Advance(11000);
-  pid_t pid_b = StartStandaloneWorker(addr_b);
-  ASSERT_GT(pid_b, 0);
+  StandaloneWorker worker_b(addr_b);
+  ASSERT_GT(worker_b.pid(), 0);
   *spawn_fails = false;
   lines.clear();
   coordinator->HeartbeatTick(&lines);
@@ -654,7 +632,7 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   }
   EXPECT_TRUE(saw_respawned);
   EXPECT_EQ(
-      MetricsRegistry::Global().GetGauge("coordinator.circuit_open")->Value(),
+      MetricsRegistry::Global().GetGauge("coord.circuit_open")->Value(),
       0);
 
   QueryRun healed = RunChain(coordinator.get());
@@ -665,7 +643,6 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  ReapWorker(pid_b);
 }
 
 }  // namespace

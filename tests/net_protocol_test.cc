@@ -14,6 +14,7 @@
 #include "src/net/socket.h"
 #include "src/query/parser.h"
 #include "src/table/schema.h"
+#include "src/util/codec.h"
 
 namespace pvcdb {
 namespace {
@@ -356,18 +357,24 @@ TEST(ProtocolTest, ScalarRepliesRoundTrip) {
 TEST(ProtocolTest, EvalOptionsRoundTrip) {
   EvalOptionsMsg msg;
   msg.num_threads = 8;
-  msg.intra_tree_threads = 2;
   ExpectRoundTripStable(msg);
+  EXPECT_EQ(msg.Encode().size(), 4u);
 
-  // Negative knob values (-1 = all cores) travel through the u32 fields
+  // Negative knob values (-1 = all cores) travel through the u32 field
   // via static_cast on both sides; the bytes must round-trip unchanged.
   EvalOptionsMsg negative;
   negative.num_threads = static_cast<uint32_t>(-1);
-  negative.intra_tree_threads = static_cast<uint32_t>(-1);
   ExpectRoundTripStable(negative);
   EvalOptionsMsg decoded;
   ASSERT_TRUE(EvalOptionsMsg::Decode(negative.Encode(), &decoded));
   EXPECT_EQ(static_cast<int>(decoded.num_threads), -1);
+
+  // The 8-byte protocol-4 payload {num_threads, per-d-tree threads} is not
+  // a version-5 message.
+  std::string v4;
+  EncodeU32(&v4, 8);
+  EncodeU32(&v4, 2);
+  EXPECT_FALSE(EvalOptionsMsg::Decode(v4, &decoded));
 }
 
 TEST(ProtocolTest, ReplayTailAndTailInfoRoundTrip) {

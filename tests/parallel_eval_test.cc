@@ -1,8 +1,8 @@
 // Tests for the parallel evaluation subsystem: the ThreadPool/ParallelFor
 // primitives, and the guarantee that every parallel path (batch d-tree
-// compilation, the parallel probability pass, approximation batches, and
-// threaded query evaluation) produces results *bit-identical* to the
-// serial path for num_threads in {2, 4, 8}.
+// compilation, approximation batches, and threaded query evaluation)
+// produces results *bit-identical* to the serial path for num_threads in
+// {2, 4, 8}.
 
 #include <atomic>
 #include <numeric>
@@ -17,7 +17,6 @@
 #include "src/engine/database.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
-#include "src/workload/random_expr.h"
 #include "tests/figure1_db.h"
 
 namespace pvcdb {
@@ -147,32 +146,6 @@ TEST(ParallelEvalTest, CompileBatchMatchesSerialOnFigure1) {
 
 // The parallel probability pass on a single large d-tree (the frontier
 // priming) must agree bitwise with the serial bottom-up pass.
-TEST(ParallelEvalTest, ParallelProbabilityPassMatchesSerial) {
-  ExprPool pool(SemiringKind::kBool);
-  VariableTable vars;
-  ExprGenParams params;
-  params.num_vars = 12;
-  params.terms_left = 24;
-  params.clauses_per_term = 3;
-  params.literals_per_clause = 3;
-  params.max_value = 50;
-  params.constant = 8;
-  params.theta = CmpOp::kGe;
-  params.agg_left = AggKind::kCount;
-  GeneratedExpr gen = GenerateComparisonExpr(&pool, &vars, params, 2024);
-  DTree tree = CompileToDTree(&pool, &vars, gen.comparison);
-
-  ProbabilityOptions serial_options;
-  Distribution expected =
-      ComputeDistribution(tree, vars, pool.semiring(), serial_options);
-  for (int threads : {2, 4, 8}) {
-    ProbabilityOptions options;
-    options.num_threads = threads;
-    Distribution d = ComputeDistribution(tree, vars, pool.semiring(), options);
-    ExpectBitIdentical(d, expected);
-  }
-}
-
 TEST(ParallelEvalTest, ApproximateBatchMatchesSerial) {
   Database db;
   BuildFigure1Database(&db, 0.4);

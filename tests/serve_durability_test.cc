@@ -11,7 +11,6 @@
 //    shipped entry/byte counts must show the tail path's saving.
 
 #include <gtest/gtest.h>
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,10 +24,12 @@
 #include "src/engine/coordinator.h"
 #include "src/engine/shard_worker.h"
 #include "src/engine/snapshot.h"
+#include "src/net/frame.h"
 #include "src/net/protocol.h"
 #include "src/net/socket.h"
 #include "src/query/parser.h"
 #include "src/table/schema.h"
+#include "tests/standalone_worker.h"
 
 namespace pvcdb {
 namespace {
@@ -65,7 +66,6 @@ TEST(ShardWorkerDurabilityTest, LoggedMutationsAdvanceTheChain) {
   // kSetOptions is session state, not logged: the position must not move.
   EvalOptionsMsg opts;
   opts.num_threads = 2;
-  opts.intra_tree_threads = 2;
   ASSERT_TRUE(worker.Handle(MsgKind::kSetOptions, opts.Encode(), &rk, &rp));
   ASSERT_EQ(rk, MsgKind::kOk);
   EXPECT_EQ(worker.lsn(), 1u);
@@ -220,6 +220,39 @@ Coordinator::WorkerSpawner RedialSpawner(std::vector<std::string> addrs) {
   };
 }
 
+// The kHello handshake pins the protocol version: a coordinator one
+// version behind gets a kError naming the required version, and the
+// worker keeps listening, so a correct hello on a new connection is
+// accepted.
+TEST(ServeDurabilityTest, WorkerRejectsAnOlderProtocolVersion) {
+  TempDir dir;
+  const std::string addr = dir.path() + "/w.sock";
+  StandaloneWorker worker(addr);
+  ASSERT_GT(worker.pid(), 0);
+
+  // One hello on a fresh connection; returns the reply frame's kind.
+  auto handshake = [&addr](uint32_t version, std::string* payload) {
+    constexpr int kDeadlineMs = 10000;
+    std::string error;
+    Socket sock = ConnectWithRetry(addr, 250, &error);
+    EXPECT_TRUE(sock.valid()) << error;
+    HelloMsg hello = TestHello();
+    hello.version = version;
+    EXPECT_TRUE(SendFrame(&sock, static_cast<uint8_t>(MsgKind::kHello),
+                          hello.Encode(), kDeadlineMs));
+    uint8_t kind = 0;
+    EXPECT_EQ(RecvFrame(&sock, &kind, payload, kDeadlineMs), FrameResult::kOk);
+    return static_cast<MsgKind>(kind);
+  };
+
+  std::string payload;
+  ASSERT_EQ(handshake(kProtocolVersion - 1, &payload), MsgKind::kError);
+  ErrorMsg err;
+  ASSERT_TRUE(ErrorMsg::Decode(payload, &err));
+  EXPECT_EQ(err.text, "bad handshake (protocol version 5 required)");
+  EXPECT_EQ(handshake(kProtocolVersion, &payload), MsgKind::kHelloAck);
+}
+
 // Parses "worker N: tail|full resync, E entries, B bytes".
 struct ResyncLine {
   bool tail = false;
@@ -283,12 +316,12 @@ TEST(ServeDurabilityTest, CoordinatorRestartTailResyncsSurvivingWorkers) {
   const std::string store = dir.path() + "/store";
   const std::vector<std::string> addrs = {dir.path() + "/w0.sock",
                                           dir.path() + "/w1.sock"};
-  std::vector<pid_t> worker_pids;
-  for (const std::string& a : addrs) {
-    pid_t pid = StartStandaloneWorker(a);
-    ASSERT_GT(pid, 0);
-    worker_pids.push_back(pid);
-  }
+  // Never shut down: they model survivors of the phase-B front-end going
+  // away for good, and their owners kill them at the end.
+  StandaloneWorker survivor0(addrs[0]);
+  StandaloneWorker survivor1(addrs[1]);
+  ASSERT_GT(survivor0.pid(), 0);
+  ASSERT_GT(survivor1.pid(), 0);
 
   DurableConfig dcfg;
   dcfg.dir = store;
@@ -409,12 +442,6 @@ TEST(ServeDurabilityTest, CoordinatorRestartTailResyncsSurvivingWorkers) {
   for (pid_t pid : fresh_pids) {
     int status = 0;
     EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  }
-  // The original workers were never shut down (they model survivors of the
-  // phase-B front-end going away for good).
-  for (pid_t pid : worker_pids) {
-    kill(pid, SIGKILL);
-    waitpid(pid, nullptr, 0);
   }
 }
 

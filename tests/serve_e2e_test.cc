@@ -362,8 +362,6 @@ void RunSigkillRestartGauntlet(int group_commit_ms) {
   EXPECT_NE(log_text.find("dir = " + store), std::string::npos) << log_text;
   EXPECT_NE(log_text.find("recovered = no"), std::string::npos) << log_text;
   EXPECT_EQ(c0.Send("threads 2").compare(0, 16, "num_threads = 2 "), 0);
-  EXPECT_EQ(c0.Send("intratree 2").compare(0, 22, "intra_tree_threads = 2"),
-            0);
 
   const std::vector<std::string> reads = ReadCommands();
   std::vector<std::string> expected;

@@ -96,7 +96,6 @@ struct Session {
   std::unique_ptr<DurableSession> durable;
   std::vector<std::string> history;  ///< State-changing lines, in order.
   int num_threads = 0;
-  int intra_tree_threads = 0;
 
   Database* db() const {
     if (durable != nullptr) {
@@ -132,8 +131,6 @@ void PrintHelp() {
             << "                           Lines)\n"
             << "  threads [n]              show or set the thread count\n"
             << "                           (0 = serial, -1 = all cores)\n"
-            << "  intratree [n]            show or set the intra-d-tree\n"
-            << "                           probability thread count\n"
             << "  shards [n]               show or set the shard count\n"
             << "                           (0 = single database)\n"
             << "  open <dir>               make the session durable: recover\n"
@@ -243,7 +240,6 @@ void ApplyThreads(Session* session) {
                              ? session->sharded()->eval_options()
                              : session->db()->eval_options();
   options.num_threads = session->num_threads;
-  options.intra_tree_threads = session->intra_tree_threads;
 }
 
 // Parses the whole of `token` as a double; rejects trailing garbage.
@@ -789,15 +785,6 @@ int main(int argc, char** argv) {
         ApplyThreads(&session);
       }
       std::cout << "num_threads = " << session.num_threads
-                << " (0 = serial; " << DefaultThreadCount()
-                << " hardware threads)\n";
-    } else if (command == "intratree") {
-      int n = 0;
-      if (stream >> n) {
-        session.intra_tree_threads = n;
-        ApplyThreads(&session);
-      }
-      std::cout << "intra_tree_threads = " << session.intra_tree_threads
                 << " (0 = serial; " << DefaultThreadCount()
                 << " hardware threads)\n";
     } else if (command == "shards") {
