@@ -45,7 +45,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +61,7 @@
 #include "src/query/parser.h"
 #include "src/serve/server.h"
 #include "src/util/metrics.h"
+#include "src/util/text_diff.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -77,30 +77,6 @@ struct Failure {
   std::string command;
   std::string detail;  ///< "transport", or the first differing line.
 };
-
-// Empty when the texts are equal, else the first line where they differ
-// (perfbench's FirstDifference wording).
-std::string FirstDifference(const std::string& expected,
-                            const std::string& actual) {
-  if (expected == actual) return std::string();
-  std::istringstream e(expected);
-  std::istringstream a(actual);
-  std::string el;
-  std::string al;
-  for (size_t line = 1;; ++line) {
-    bool has_e = static_cast<bool>(std::getline(e, el));
-    bool has_a = static_cast<bool>(std::getline(a, al));
-    if (!has_e && !has_a) {
-      return "line " + std::to_string(line) +
-             ": texts differ only in their final newline";
-    }
-    if (has_e != has_a || el != al) {
-      return "line " + std::to_string(line) + ": expected '" +
-             (has_e ? el : std::string("<end of text>")) + "' / actual '" +
-             (has_a ? al : std::string("<end of text>")) + "'";
-    }
-  }
-}
 
 // "section S mode M shards N clients C": where in the run a failure sits.
 std::string Where(const std::string& section, const std::string& mode,

@@ -201,7 +201,48 @@ void ApplyWalOp(const WalOp& op, Database* db, ShardedDatabase* sharded) {
     case WalOpType::kReshard:
       break;
   }
-  PVC_FAIL("kReshard is a topology change handled by DurableSession");
+  PVC_FAIL("kReshard is a topology change handled by RebuildEngine");
+}
+
+namespace {
+
+// Builds a fresh engine from `state` into the slot its topology names,
+// resetting the other one.
+void BuildEngine(const EngineState& state, std::unique_ptr<Database>* db,
+                 std::unique_ptr<ShardedDatabase>* sharded) {
+  db->reset();
+  sharded->reset();
+  if (state.num_shards == 0) {
+    *db = std::make_unique<Database>(state.semiring);
+  } else {
+    *sharded = std::make_unique<ShardedDatabase>(
+        static_cast<size_t>(state.num_shards), state.semiring);
+  }
+  for (const WalOp& op : state.ops) ApplyWalOp(op, db->get(), sharded->get());
+}
+
+}  // namespace
+
+void RebuildEngine(uint64_t num_shards, std::unique_ptr<Database>* db,
+                   std::unique_ptr<ShardedDatabase>* sharded) {
+  PVC_CHECK_MSG((*db == nullptr) != (*sharded == nullptr),
+                "rebuild needs exactly one engine");
+  EngineState state =
+      *db != nullptr ? CaptureState(**db) : CaptureState(**sharded);
+  state.num_shards = num_shards;
+  EvalOptions eval =
+      *db != nullptr ? (*db)->eval_options() : (*sharded)->eval_options();
+  CompileOptions compile = *db != nullptr ? (*db)->compile_options()
+                                          : (*sharded)->compile_options();
+  std::unique_ptr<Database> next_db;
+  std::unique_ptr<ShardedDatabase> next_sharded;
+  BuildEngine(state, &next_db, &next_sharded);
+  (next_db != nullptr ? next_db->eval_options()
+                      : next_sharded->eval_options()) = eval;
+  (next_db != nullptr ? next_db->compile_options()
+                      : next_sharded->compile_options()) = compile;
+  *db = std::move(next_db);
+  *sharded = std::move(next_sharded);
 }
 
 std::string EncodeSnapshot(const EngineState& state) {
@@ -296,17 +337,7 @@ void DurableSession::BuildFromState(const EngineState& state) {
     for (const WalOp& op : state.ops) attached_->ApplyRecoveredOp(op);
     return;
   }
-  db_.reset();
-  sharded_.reset();
-  if (state.num_shards == 0) {
-    db_ = std::make_unique<Database>(state.semiring);
-  } else {
-    sharded_ = std::make_unique<ShardedDatabase>(
-        static_cast<size_t>(state.num_shards), state.semiring);
-  }
-  for (const WalOp& op : state.ops) {
-    ApplyWalOp(op, db_.get(), sharded_.get());
-  }
+  BuildEngine(state, &db_, &sharded_);
 }
 
 void DurableSession::AttachWal() {
@@ -489,7 +520,9 @@ std::unique_ptr<DurableSession> DurableSession::RecoverImpl(
       if (op.type == WalOpType::kReshard) {
         // Attached mode ignores recorded topology (deployment config);
         // the replayed history re-partitions over the current workers.
-        if (attached == nullptr) session->RebuildTopology(op.num_shards);
+        if (attached == nullptr) {
+          RebuildEngine(op.num_shards, &session->db_, &session->sharded_);
+        }
       } else if (attached != nullptr) {
         attached->ApplyRecoveredOp(op);
       } else {
@@ -508,19 +541,6 @@ std::unique_ptr<DurableSession> DurableSession::RecoverImpl(
   return session;
 }
 
-void DurableSession::RebuildTopology(uint64_t num_shards) {
-  EngineState state = CaptureCurrent();
-  state.num_shards = num_shards;
-  EvalOptions eval =
-      db_ != nullptr ? db_->eval_options() : sharded_->eval_options();
-  CompileOptions compile =
-      db_ != nullptr ? db_->compile_options() : sharded_->compile_options();
-  BuildFromState(state);
-  (db_ != nullptr ? db_->eval_options() : sharded_->eval_options()) = eval;
-  (db_ != nullptr ? db_->compile_options() : sharded_->compile_options()) =
-      compile;
-}
-
 bool DurableSession::Reshard(uint64_t num_shards, std::string* error) {
   if (attached_ != nullptr) {
     SetError(error,
@@ -535,7 +555,7 @@ bool DurableSession::Reshard(uint64_t num_shards, std::string* error) {
     SetError(error, "WAL append to '" + wal_->path() + "' failed");
     return false;
   }
-  RebuildTopology(num_shards);
+  RebuildEngine(num_shards, &db_, &sharded_);
   AttachWal();
   return true;
 }

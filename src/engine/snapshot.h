@@ -66,9 +66,16 @@ EngineState CaptureState(const ShardedDatabase& db);
 EngineState CaptureState(const Coordinator& coordinator);
 
 /// Applies one replayable op to exactly one engine (`db` or `sharded`
-/// non-null). kReshard is a topology change and is handled by
-/// DurableSession, not here.
+/// non-null). kReshard is a topology change, handled by RebuildEngine.
 void ApplyWalOp(const WalOp& op, Database* db, ShardedDatabase* sharded);
+
+/// Rebuilds the engine held in `*db` or `*sharded` (exactly one set) at
+/// `num_shards` shards (0 = single Database): captures its state, replays
+/// it into a fresh engine and carries the evaluation / compile options
+/// over. Reads no file, so a table whose CSV is gone survives. The old
+/// engine is replaced only once the new one is complete.
+void RebuildEngine(uint64_t num_shards, std::unique_ptr<Database>* db,
+                   std::unique_ptr<ShardedDatabase>* sharded);
 
 /// Serializes `state` into a self-validating snapshot file image
 /// (magic + length + CRC32C + body).
@@ -167,9 +174,6 @@ class DurableSession {
   std::string WalPath(uint32_t generation) const;
   uint64_t CurrentShardCount() const;
   EngineState CaptureCurrent() const;
-  /// Captures the current state and rebuilds it at `num_shards` shards,
-  /// carrying the evaluation / compile options over.
-  void RebuildTopology(uint64_t num_shards);
   /// Rebuilds db_/sharded_ from `state` (WAL detached during the rebuild).
   void BuildFromState(const EngineState& state);
   void AttachWal();

@@ -123,8 +123,8 @@ bool RemoteBackend::Respawn(size_t shard, std::string* message) {
 
 namespace {
 
-// Mirrors the shell's PrintRowProbabilities: one P[row i] line per tuple,
-// with conditional aggregate distributions appended for kAggExpr columns.
+// One P[row i] line per tuple, with conditional aggregate distributions
+// appended for kAggExpr columns.
 void AppendRowProbabilityLines(std::ostream& out, ServeBackend* backend,
                                const QueryRun& run) {
   for (size_t i = 0; i < run.probabilities.size(); ++i) {
@@ -201,8 +201,17 @@ void ServerHelp(std::ostream& out) {
       << "  save                     checkpoint the durable directory\n"
       << "  log                      durable directory status\n"
       << "  shutdown                 stop the server\n"
-      << "  help | quit\n";
+      << "  help | quit\n"
+      << "local shell only (pvcdb_shell without --connect):\n"
+      << "  shards [n]               show or set the shard count (n >= 1)\n"
+      << "  open <dir>               make the session durable: recover\n"
+      << "                           <dir> if it holds state, else\n"
+      << "                           snapshot the current state there\n";
 }
+
+constexpr char kNotDurable[] =
+    "not durable (use 'open <dir>' in the local shell, or start the server "
+    "with --open <dir>)\n";
 
 bool RunSelect(ServeBackend* backend, const std::string& line,
                std::ostream& out) {
@@ -525,14 +534,13 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
           session->num_threads = n;
           backend->SetEvalOptions(session->num_threads, 0);
         }
-        // Mirrors the shell's display exactly (the session-level knob
-        // value, not the engine's resolved count).
+        // The session-level knob value, not the engine's resolved count.
         out << "num_threads = " << session->num_threads << " (0 = serial; "
             << DefaultThreadCount() << " hardware threads)\n";
       }
     } else if (command == "save") {
       if (session == nullptr || session->durable == nullptr) {
-        out << "not durable (start the server with --open <dir>)\n";
+        out << kNotDurable;
         reply.ok = false;
       } else {
         std::string error;
@@ -546,7 +554,7 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
       }
     } else if (command == "log") {
       if (session == nullptr || session->durable == nullptr) {
-        out << "not durable (start the server with --open <dir>)\n";
+        out << kNotDurable;
         reply.ok = false;
       } else {
         DurableStats stats = session->durable->stats();

@@ -13,10 +13,10 @@
 // Parallelism lives *inside* a command: the distributed scatter fans out
 // to every worker before collecting any reply.
 //
-// ExecuteCommand is the single rendering path shared by both backends; the
-// e2e test compares its output byte for byte between a RemoteBackend and a
-// local InProcessBackend. Probabilities print at precision 17, so text
-// equality is double bit-equality.
+// ExecuteCommand is the single rendering path shared by both backends and
+// by the local pvcdb_shell; the e2e test compares its output byte for byte
+// between a RemoteBackend and a local InProcessBackend. Probabilities print
+// at precision 17, so text equality is double bit-equality.
 //
 // Durability is wired in through ServerConfig::open_dir: the server opens
 // (or recovers) a DurableSession over the durable directory, logs every
@@ -194,20 +194,21 @@ class RemoteBackend : public ServeBackend {
   Coordinator* coordinator_;
 };
 
-/// Mutable per-server state beyond the backend: the durable session (for
-/// `save` / `log`) and the session-level thread knob (`threads`, mirroring
-/// the shell's display semantics). Null members render those commands
-/// unavailable.
+/// Mutable per-session state beyond the backend: the durable session (for
+/// `save` / `log`) and the session-level thread knob (`threads`). Null
+/// members render those commands unavailable.
 struct ServeSession {
   DurableSession* durable = nullptr;
   int num_threads = 0;
 };
 
 /// Parses and executes one shell command line against `backend`, rendering
-/// the full reply text (mirroring tools/pvcdb_shell.cc output formats,
-/// with probabilities at precision 17). Sets `*shutdown` when the command
-/// was `shutdown`. Never throws. `session` may be null (a serving surface
-/// with no durable directory and no thread knobs, as in unit tests).
+/// the full reply text with probabilities at precision 17. The one command
+/// interpreter: pvcdb_server runs it for every client, and pvcdb_shell for
+/// every command but its own `shards` / `open` / `quit`. Sets `*shutdown`
+/// when the command was `shutdown`. Never throws. `session` may be null (a
+/// serving surface with no durable directory and no thread knobs, as in
+/// unit tests).
 ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
                               bool* shutdown, ServeSession* session = nullptr);
 

@@ -20,6 +20,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "src/net/protocol.h"
 #include "src/net/socket.h"
 #include "src/serve/server.h"
+#include "src/util/text_diff.h"
 
 namespace pvcdb {
 namespace {
@@ -145,6 +147,23 @@ class Client {
   Socket sock_;
 };
 
+// The first divergence any concurrent client saw; later ones are dropped.
+class FirstMismatch {
+ public:
+  void Record(const std::string& what) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (first_.empty()) first_ = what;
+  }
+  std::string Get() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return first_.empty() ? "none" : first_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::string first_;
+};
+
 // The bit-identity reference: an in-process ShardedDatabase driven through
 // the same ExecuteCommand renderer the server uses.
 class Reference {
@@ -222,23 +241,34 @@ TEST(ServeE2eTest, BitIdenticalAcrossShardsAndConcurrentClients) {
       // byte-identical to the reference (snapshot consistency: no client
       // may observe a torn state).
       std::atomic<int> mismatches{0};
+      FirstMismatch first;
       std::vector<std::thread> threads;
       for (size_t c = 0; c < num_clients; ++c) {
-        threads.emplace_back([&address, &reads, &expected, &mismatches]() {
+        threads.emplace_back([&, c]() {
           Client client;
           if (!client.Connect(address)) {
             ++mismatches;
+            first.Record("client " + std::to_string(c) +
+                         ": transport (connect failed)");
             return;
           }
           for (int round = 0; round < 2; ++round) {
             for (size_t i = 0; i < reads.size(); ++i) {
-              if (client.Send(reads[i]) != expected[i]) ++mismatches;
+              std::string actual = client.Send(reads[i]);
+              if (actual == expected[i]) continue;
+              ++mismatches;
+              first.Record("client " + std::to_string(c) + ", round " +
+                           std::to_string(round) + ", command " +
+                           std::to_string(i) + " '" + reads[i] + "': " +
+                           (actual.rfind("<transport error", 0) == 0
+                                ? "transport " + actual
+                                : FirstDifference(expected[i], actual)));
             }
           }
         });
       }
       for (std::thread& t : threads) t.join();
-      EXPECT_EQ(mismatches.load(), 0);
+      EXPECT_EQ(mismatches.load(), 0) << "first mismatch: " << first.Get();
 
       // A mutation after the concurrent phase still matches.
       const std::string tail = "insert items kitchen pan 310 0.4";

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end IVM shell test: drives the materialized-view and mutation
 # commands (view / views / insert / delete / setprob) through pvcdb_shell
-# in both the unsharded and the sharded topology and diffs the transcript
-# against expected_ivm.txt. The `view pricey` outputs after `shards 2`
-# (mutations + views replayed onto the resharded session) and after
-# `shards 0` must match the unsharded ones line for line -- the CLI-level
-# bit-identity check for incrementally maintained views.
+# at 1 and 2 shards and diffs the transcript against expected_ivm.txt. The
+# `view pricey` outputs after `shards 2` (the engine, views included,
+# rebuilt from its captured state) and after `shards 1` must match the
+# 1-shard ones line for line -- the CLI-level bit-identity check for
+# incrementally maintained views.
 #
 # Usage: run_ivm_test.sh <path-to-pvcdb_shell> <repo-root>
 set -u
@@ -26,8 +26,8 @@ fi
 echo "ivm shell transcript matches"
 
 # Six `view <name>` prints produce a probability block each: pricey and
-# bykind unsharded, both again under shards 2, pricey after the sharded
-# insert, and pricey after shards 0. Update this count together with
+# bykind at 1 shard, both again under shards 2, pricey after the sharded
+# insert, and pricey after shards 1. Update this count together with
 # input_ivm.txt / expected_ivm.txt.
 blocks="$(printf '%s\n' "$actual" | grep -c '^P\[row 0\]')"
 if [ "$blocks" -ne 6 ]; then

@@ -3,8 +3,8 @@
 # pvcdb_shell from the repository root (so data/items.csv resolves) and
 # diffs the transcript against expected.txt. The `threads` line prints the
 # machine's hardware thread count; it is normalised before the diff. The
-# sharded and unsharded SELECT outputs must match line for line -- this
-# doubles as a CLI-level bit-identity check.
+# SELECT outputs at 1 and 2 shards must match line for line -- this doubles
+# as a CLI-level bit-identity check.
 #
 # Usage: run_test.sh <path-to-pvcdb_shell> <repo-root>
 set -u
@@ -26,8 +26,8 @@ fi
 echo "shell transcript matches"
 
 # Five SELECT blocks: the WHERE-only query (distributed plan under
-# shards=2) and the GROUP BY query, each run unsharded and sharded, plus
-# the final unsharded re-run -- all asserted identical via expected.txt.
+# shards=2) and the GROUP BY query, each run at 1 shard and at 2, plus the
+# re-run after `shards 1` -- all asserted identical via expected.txt.
 selects="$(printf '%s\n' "$actual" | grep -c '^P\[row 0\]')"
 if [ "$selects" -ne 5 ]; then
   echo "expected 5 SELECT outputs, saw $selects"
