@@ -19,6 +19,16 @@ uint64_t KindSalt(ExprKind kind) {
   return 0x517cc1b727220a95ULL * (static_cast<uint64_t>(kind) + 1);
 }
 
+// murmur3's fmix64 finalizer: every input bit reaches every low bit.
+uint64_t Fmix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 }  // namespace
 
 ExprPool::ExprPool(SemiringKind kind) : semiring_(kind) {}
@@ -42,7 +52,11 @@ uint64_t ExprPool::NodeHash(ExprKind kind, ExprSort sort, AggKind agg,
   h = HashCombine(h, static_cast<uint64_t>(cmp));
   h = HashCombine(h, std::hash<int64_t>()(value));
   for (uint32_t i = 0; i < num_children; ++i) h = HashCombine(h, children[i]);
-  return h;
+  // HashCombine keeps sequential inputs (variable ids, child ids) nearly
+  // sequential, and the table takes `h & mask` as the home slot; unmixed,
+  // such nodes fill long runs of adjacent slots that every probe landing
+  // in them walks to the end.
+  return Fmix64(h);
 }
 
 void ExprPool::Rehash(size_t new_size) {
@@ -53,6 +67,25 @@ void ExprPool::Rehash(size_t new_size) {
     while (table_[i] != kEmptySlot) i = (i + 1) & mask;
     table_[i] = id;
   }
+}
+
+size_t ExprPool::LongestOccupiedRun() const {
+  size_t n = table_.size();
+  if (n == 0) return 0;
+  // Start past a free slot (the load stays below 0.7), so a run that wraps
+  // around the end of the table counts as one.
+  size_t start = 0;
+  while (table_[start] != kEmptySlot) ++start;
+  size_t longest = 0;
+  size_t run = 0;
+  for (size_t k = 1; k <= n; ++k) {
+    if (table_[(start + k) & (n - 1)] == kEmptySlot) {
+      run = 0;
+    } else {
+      longest = std::max(longest, ++run);
+    }
+  }
+  return longest;
 }
 
 void ExprPool::Reserve(size_t additional_nodes) {

@@ -207,6 +207,11 @@ class ExprPool {
   /// Total number of distinct nodes interned so far.
   size_t NumNodes() const { return nodes_.size(); }
 
+  /// Longest run of adjacent occupied slots in the intern table (wrapping
+  /// around its end): the longest walk a lookup can take. Walks the whole
+  /// table on every call.
+  size_t LongestOccupiedRun() const;
+
   /// Sorted distinct variables occurring in `id`. Arena-backed (> 2 vars)
   /// spans survive pool growth; inlined ones follow the node() lifetime
   /// rule above.

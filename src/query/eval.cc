@@ -78,6 +78,103 @@ bool CompareDataCells(CmpOp op, const Cell& a, const Cell& b) {
   }
 }
 
+// A predicate operand with its column resolved to an index of one schema.
+struct ResolvedOperand {
+  const Cell* constant = nullptr;  // Set for constant operands...
+  size_t index = 0;                // ...column index otherwise.
+
+  const Cell& Of(const Row& r) const {
+    return constant != nullptr ? *constant : r.cells[index];
+  }
+};
+
+ResolvedOperand ResolveOperand(const Operand& o, const Schema& schema) {
+  ResolvedOperand r;
+  if (o.kind() == Operand::Kind::kColumn) {
+    r.index = schema.IndexOf(o.column());
+  } else {
+    r.constant = &o.constant();
+  }
+  return r;
+}
+
+// The type of `o` on `schema`; nullopt for a column `schema` lacks.
+std::optional<CellType> OperandType(const Operand& o, const Schema& schema) {
+  if (o.kind() != Operand::Kind::kColumn) return o.constant().type();
+  std::optional<size_t> index = schema.Find(o.column());
+  if (!index.has_value()) return std::nullopt;
+  return schema.column(*index).type;
+}
+
+// True when both types are known and the same int, double or string type:
+// CompareDataCells cannot fail its type check on such operands.
+bool SameDataType(std::optional<CellType> a, std::optional<CellType> b) {
+  return a.has_value() && b.has_value() && *a == *b &&
+         (*a == CellType::kInt || *a == CellType::kDouble ||
+          *a == CellType::kString);
+}
+
+// True when `atom` is a data comparison decided by `schema`'s rows alone:
+// at least one column operand, every column on `schema`, and operands of
+// one data type.
+bool DecidedBy(const Atom& atom, const Schema& schema) {
+  return (atom.lhs.kind() == Operand::Kind::kColumn ||
+          atom.rhs.kind() == Operand::Kind::kColumn) &&
+         SameDataType(OperandType(atom.lhs, schema),
+                      OperandType(atom.rhs, schema));
+}
+
+// True when ApplyPredicateAtom cannot throw on `atom` over rows of
+// `schema`: a data comparison of one data type, or a comparison of
+// aggregation attributes with each other or with integers.
+bool CannotThrow(const Atom& atom, const Schema& schema) {
+  std::optional<CellType> lt = OperandType(atom.lhs, schema);
+  std::optional<CellType> rt = OperandType(atom.rhs, schema);
+  if (lt == CellType::kAggExpr || rt == CellType::kAggExpr) {
+    auto agg_or_int = [](std::optional<CellType> t) {
+      return t == CellType::kAggExpr || t == CellType::kInt;
+    };
+    return agg_or_int(lt) && agg_or_int(rt);
+  }
+  return SameDataType(lt, rt);
+}
+
+// A predicate atom with its operands resolved against one schema.
+struct ResolvedAtom {
+  CmpOp op;
+  ResolvedOperand lhs;
+  ResolvedOperand rhs;
+
+  /// The data comparison on row `r` (both operands data cells).
+  bool Holds(const Row& r) const {
+    return CompareDataCells(op, lhs.Of(r), rhs.Of(r));
+  }
+};
+
+ResolvedAtom ResolveAtom(const Atom& atom, const Schema& schema) {
+  return {atom.op, ResolveOperand(atom.lhs, schema),
+          ResolveOperand(atom.rhs, schema)};
+}
+
+// Per row of `table`, whether it passes every data atom of `atoms` (pure,
+// so the rows fan out across threads).
+std::vector<uint8_t> PassingRows(const PvcTable& table,
+                                 const std::vector<ResolvedAtom>& atoms,
+                                 int num_threads) {
+  std::vector<uint8_t> pass(table.NumRows(), 1);
+  if (atoms.empty()) return pass;
+  ParallelFor(num_threads, table.NumRows(), [&](size_t i) {
+    const Row& r = table.row(i);
+    for (const ResolvedAtom& a : atoms) {
+      if (!a.Holds(r)) {
+        pass[i] = 0;
+        return;
+      }
+    }
+  });
+  return pass;
+}
+
 }  // namespace
 
 bool ApplyPredicateAtom(ExprPool* pool, const Schema& schema, const Atom& atom,
@@ -179,9 +276,22 @@ PvcTable QueryEvaluator::Eval(const Query& q) {
   PVC_FAIL("unknown query operator");
 }
 
-PvcTable QueryEvaluator::EvalScan(const Query& q) {
+const PvcTable& QueryEvaluator::ResolveScan(const Query& q) {
   const PvcTable& base = resolver_(q.table_name());
   PVCDB_COUNTER_ADD("engine.rows_scanned", base.NumRows());
+  return base;
+}
+
+const PvcTable& QueryEvaluator::EvalInput(const Query& q, PvcTable* storage) {
+  if (q.op() == QueryOp::kScan && mode_ == EvalMode::kProbabilistic) {
+    return ResolveScan(q);
+  }
+  *storage = Eval(q);
+  return *storage;
+}
+
+PvcTable QueryEvaluator::EvalScan(const Query& q) {
+  const PvcTable& base = ResolveScan(q);
   if (mode_ == EvalMode::kProbabilistic) return base;
   // Q0: evaluate on the deterministic database -- every tuple is present.
   PvcTable out{base.schema()};
@@ -204,7 +314,8 @@ PvcTable QueryEvaluator::EvalSelect(const Query& q) {
   if (q.child(0)->op() == QueryOp::kProduct) {
     return EvalHashJoin(*q.child(0), q.predicate());
   }
-  PvcTable input = Eval(*q.child(0));
+  PvcTable storage;
+  const PvcTable& input = EvalInput(*q.child(0), &storage);
   PvcTable out{input.schema()};
   ExprId zero = pool_->ConstS(pool_->semiring().Zero());
   const Schema& schema = input.schema();
@@ -213,30 +324,17 @@ PvcTable QueryEvaluator::EvalSelect(const Query& q) {
   // Classify the atoms once: an atom over data cells only is a pure filter;
   // an atom touching an aggregation attribute extends the annotation
   // (Figure 4's sigma rule) and must stay on the interning thread.
-  struct ResolvedOperand {
-    const Cell* constant = nullptr;  // Set for constant operands...
-    size_t index = 0;                // ...column index otherwise.
-  };
-  auto resolve_operand = [&](const Operand& o) {
-    ResolvedOperand r;
-    if (o.kind() == Operand::Kind::kColumn) {
-      r.index = schema.IndexOf(o.column());
-    } else {
-      r.constant = &o.constant();
-    }
-    return r;
-  };
-  auto operand_type = [&](const ResolvedOperand& r) {
-    return r.constant != nullptr ? r.constant->type()
-                                 : schema.column(r.index).type;
-  };
-  std::vector<ResolvedOperand> lhs_ops, rhs_ops;
+  std::vector<ResolvedAtom> resolved;
   std::vector<bool> is_data_atom;
+  size_t first_extending = atoms.size();  // First annotation-extending atom.
   for (const Atom& atom : atoms) {
-    lhs_ops.push_back(resolve_operand(atom.lhs));
-    rhs_ops.push_back(resolve_operand(atom.rhs));
-    is_data_atom.push_back(operand_type(lhs_ops.back()) != CellType::kAggExpr &&
-                           operand_type(rhs_ops.back()) != CellType::kAggExpr);
+    resolved.push_back(ResolveAtom(atom, schema));
+    is_data_atom.push_back(
+        *OperandType(atom.lhs, schema) != CellType::kAggExpr &&
+        *OperandType(atom.rhs, schema) != CellType::kAggExpr);
+    if (!is_data_atom.back() && first_extending == atoms.size()) {
+      first_extending = is_data_atom.size() - 1;
+    }
   }
 
   // Phase 1 (parallel, pure): per row, the first failing data atom in
@@ -246,12 +344,9 @@ PvcTable QueryEvaluator::EvalSelect(const Query& q) {
   std::vector<size_t> first_fail(n, atoms.size());
   ParallelFor(options_.num_threads, n, [&](size_t i) {
     const Row& r = input.row(i);
-    auto cell = [&](const ResolvedOperand& op) -> const Cell& {
-      return op.constant != nullptr ? *op.constant : r.cells[op.index];
-    };
     for (size_t j = 0; j < atoms.size(); ++j) {
       if (!is_data_atom[j]) continue;
-      if (!CompareDataCells(atoms[j].op, cell(lhs_ops[j]), cell(rhs_ops[j]))) {
+      if (!resolved[j].Holds(r)) {
         first_fail[i] = j;
         break;
       }
@@ -262,6 +357,9 @@ PvcTable QueryEvaluator::EvalSelect(const Query& q) {
   // atom order up to the first failure -- the exact ExprPool interning
   // sequence of a serial run -- and emit surviving rows in input order.
   for (size_t i = 0; i < n; ++i) {
+    // Rejected before any annotation-extending atom: the row interns
+    // nothing, so it is never copied.
+    if (first_fail[i] < first_extending) continue;
     Row candidate = input.row(i);
     bool keep = true;
     for (size_t j = 0; j < atoms.size(); ++j) {
@@ -282,15 +380,15 @@ PvcTable QueryEvaluator::EvalSelect(const Query& q) {
 
 PvcTable QueryEvaluator::EvalHashJoin(const Query& product,
                                       const Predicate& pred) {
-  PvcTable left = Eval(*product.child(0));
-  PvcTable right = Eval(*product.child(1));
+  PvcTable left_storage, right_storage;
+  const PvcTable& left = EvalInput(*product.child(0), &left_storage);
+  const PvcTable& right = EvalInput(*product.child(1), &right_storage);
 
   // Split the conjunction into hashable cross-side data equalities and
   // residual atoms (applied per joined row, exactly as EvalSelect would).
   EquiJoinPlan plan =
       SplitEquiJoinAtoms(pred, left.schema(), right.schema());
   const std::vector<EquiJoinPlan::Key>& keys = plan.keys;
-  const std::vector<Atom>& residual = plan.residual;
 
   std::vector<Column> columns = left.schema().columns();
   for (const Column& c : right.schema().columns()) {
@@ -303,9 +401,34 @@ PvcTable QueryEvaluator::EvalHashJoin(const Query& product,
   PvcTable out{out_schema};
   ExprId zero = pool_->ConstS(pool_->semiring().Zero());
 
+  // A residual data atom decided by one input's rows alone filters that
+  // input before any row is paired: it never touches an annotation, so the
+  // pairs it rejects would only have cost a cell copy and a MulS each.
+  // Moving stops at the first kept atom that may throw, so every pair that
+  // reaches a throwing atom reaches it exactly as without the move.
+  std::vector<ResolvedAtom> left_atoms, right_atoms;
+  std::vector<Atom> residual;
+  bool movable = true;
+  for (const Atom& atom : plan.residual) {
+    if (movable && DecidedBy(atom, left.schema())) {
+      left_atoms.push_back(ResolveAtom(atom, left.schema()));
+    } else if (movable && DecidedBy(atom, right.schema())) {
+      right_atoms.push_back(ResolveAtom(atom, right.schema()));
+    } else {
+      residual.push_back(atom);
+      movable = movable && CannotThrow(atom, out_schema);
+    }
+  }
+  std::vector<uint8_t> left_pass =
+      PassingRows(left, left_atoms, options_.num_threads);
+  std::vector<uint8_t> right_pass =
+      PassingRows(right, right_atoms, options_.num_threads);
+
   auto emit = [&](const Row& l, const Row& r) {
     Row candidate;
-    candidate.cells = l.cells;
+    candidate.cells.reserve(l.cells.size() + r.cells.size());
+    candidate.cells.insert(candidate.cells.end(), l.cells.begin(),
+                           l.cells.end());
     candidate.cells.insert(candidate.cells.end(), r.cells.begin(),
                            r.cells.end());
     candidate.annotation = pool_->MulS(l.annotation, r.annotation);
@@ -317,8 +440,11 @@ PvcTable QueryEvaluator::EvalHashJoin(const Query& product,
 
   if (keys.empty()) {
     // Pure theta-join: fall back to nested loops.
-    for (const Row& l : left.rows()) {
-      for (const Row& r : right.rows()) emit(l, r);
+    for (size_t i = 0; i < left.NumRows(); ++i) {
+      if (!left_pass[i]) continue;
+      for (size_t j = 0; j < right.NumRows(); ++j) {
+        if (right_pass[j]) emit(left.row(i), right.row(j));
+      }
     }
     return out;
   }
@@ -326,6 +452,7 @@ PvcTable QueryEvaluator::EvalHashJoin(const Query& product,
   // Build on the right side, probe with the left.
   std::unordered_map<RowKey, std::vector<size_t>, RowKeyHash> build;
   for (size_t j = 0; j < right.NumRows(); ++j) {
+    if (!right_pass[j]) continue;
     RowKey key;
     key.cells.reserve(keys.size());
     for (const EquiJoinPlan::Key& k : keys) {
@@ -338,6 +465,7 @@ PvcTable QueryEvaluator::EvalHashJoin(const Query& product,
   size_t n = left.NumRows();
   std::vector<const std::vector<size_t>*> matches(n, nullptr);
   ParallelFor(options_.num_threads, n, [&](size_t i) {
+    if (!left_pass[i]) return;
     const Row& l = left.row(i);
     RowKey key;
     key.cells.reserve(keys.size());
@@ -355,7 +483,8 @@ PvcTable QueryEvaluator::EvalHashJoin(const Query& product,
 }
 
 PvcTable QueryEvaluator::EvalProject(const Query& q) {
-  PvcTable input = Eval(*q.child(0));
+  PvcTable storage;
+  const PvcTable& input = EvalInput(*q.child(0), &storage);
   const Schema& in_schema = input.schema();
   std::vector<Column> columns;
   std::vector<size_t> indices;
@@ -388,7 +517,8 @@ PvcTable QueryEvaluator::EvalProject(const Query& q) {
 }
 
 PvcTable QueryEvaluator::EvalRename(const Query& q) {
-  PvcTable input = Eval(*q.child(0));
+  PvcTable storage;
+  const PvcTable& input = EvalInput(*q.child(0), &storage);
   const Schema& in_schema = input.schema();
   size_t idx = in_schema.IndexOf(q.rename_from());
   std::vector<Column> columns = in_schema.columns();
@@ -403,8 +533,9 @@ PvcTable QueryEvaluator::EvalRename(const Query& q) {
 }
 
 PvcTable QueryEvaluator::EvalProduct(const Query& q) {
-  PvcTable left = Eval(*q.child(0));
-  PvcTable right = Eval(*q.child(1));
+  PvcTable left_storage, right_storage;
+  const PvcTable& left = EvalInput(*q.child(0), &left_storage);
+  const PvcTable& right = EvalInput(*q.child(1), &right_storage);
   std::vector<Column> columns = left.schema().columns();
   for (const Column& c : right.schema().columns()) {
     PVC_CHECK_MSG(!left.schema().Find(c.name).has_value(),
@@ -424,8 +555,9 @@ PvcTable QueryEvaluator::EvalProduct(const Query& q) {
 }
 
 PvcTable QueryEvaluator::EvalUnion(const Query& q) {
-  PvcTable left = Eval(*q.child(0));
-  PvcTable right = Eval(*q.child(1));
+  PvcTable left_storage, right_storage;
+  const PvcTable& left = EvalInput(*q.child(0), &left_storage);
+  const PvcTable& right = EvalInput(*q.child(1), &right_storage);
   PVC_CHECK_MSG(left.schema() == right.schema(),
                 "union requires identical schemas: "
                     << left.schema().ToString() << " vs "
@@ -498,7 +630,8 @@ bool QueryMentionsColumn(const Query& q, const std::string& column) {
 }
 
 PvcTable QueryEvaluator::EvalGroupAgg(const Query& q) {
-  PvcTable input = Eval(*q.child(0));
+  PvcTable storage;
+  const PvcTable& input = EvalInput(*q.child(0), &storage);
   const Schema& in_schema = input.schema();
 
   std::vector<Column> columns;

@@ -51,6 +51,13 @@ struct EvalOptions {
 };
 
 /// Evaluates Q queries over pvc-tables, producing result pvc-tables.
+///
+/// Operators read their inputs in place: a probabilistic Scan below an
+/// operator is the resolver's table itself (borrowed, not copied; the
+/// resolver's tables must outlive Eval), and every other child is
+/// evaluated into a local table. Only rows an operator keeps are copied
+/// into its result; a top-level Scan returns a copy, since the caller owns
+/// the result. `engine.rows_scanned` counts every base row either way.
 class QueryEvaluator {
  public:
   QueryEvaluator(ExprPool* pool, TableResolver resolver,
@@ -62,6 +69,13 @@ class QueryEvaluator {
   PvcTable Eval(const Query& q);
 
  private:
+  /// The base table of Scan `q`, counted into `engine.rows_scanned`.
+  const PvcTable& ResolveScan(const Query& q);
+
+  /// An operator's input `q`: the base table itself for a probabilistic
+  /// Scan, otherwise Eval(q) stored in `*storage`.
+  const PvcTable& EvalInput(const Query& q, PvcTable* storage);
+
   PvcTable EvalScan(const Query& q);
   PvcTable EvalSelect(const Query& q);
   PvcTable EvalProject(const Query& q);
@@ -77,8 +91,13 @@ class QueryEvaluator {
 
   /// Fast path for Select(Product(l, r), pred): executes data-column
   /// equality atoms as a hash join instead of materialising the cross
-  /// product, then applies the remaining atoms per joined row. Semantics
-  /// are identical to the naive pipeline.
+  /// product. Residual data atoms decided by one side's rows alone (every
+  /// column on that side, one int, double or string type on both operands)
+  /// filter that input before rows are paired, so a rejected pair is never
+  /// copied or interned; the remaining atoms apply per joined row, in
+  /// predicate order. Rows come out left-major in probe order, right
+  /// matches in ascending index. Semantics are identical to the naive
+  /// pipeline.
   PvcTable EvalHashJoin(const Query& product, const Predicate& pred);
 
   ExprPool* pool_;

@@ -228,5 +228,27 @@ TEST_F(ExprPoolTest, GroundExpressionsFoldToConstants) {
   EXPECT_EQ(nat_pool_.node(e).value, 5);
 }
 
+// Sequential variables and products of neighbouring variables hash to
+// nearly sequential values before mixing; the intern table must still
+// spread them, or every lookup landing in a run walks it to the end
+// (unmixed, these 200k nodes form one run of about 108k slots).
+TEST_F(ExprPoolTest, InternTableDoesNotClusterSequentialNodes) {
+  constexpr VarId kVars = 100000;
+  std::vector<ExprId> vars;
+  std::vector<ExprId> products;
+  for (VarId x = 0; x <= kVars; ++x) vars.push_back(bool_pool_.Var(x));
+  for (VarId x = 0; x < kVars; ++x) {
+    products.push_back(bool_pool_.MulS(vars[x], vars[x + 1]));
+  }
+  for (VarId x = 0; x <= kVars; ++x) {
+    ASSERT_EQ(bool_pool_.Var(x), vars[x]) << "x" << x;
+  }
+  for (VarId x = 0; x < kVars; ++x) {
+    ASSERT_EQ(bool_pool_.MulS(vars[x], vars[x + 1]), products[x]) << "x" << x;
+  }
+  EXPECT_EQ(bool_pool_.NumNodes(), 2 * kVars + 1);
+  EXPECT_LE(bool_pool_.LongestOccupiedRun(), 200u);
+}
+
 }  // namespace
 }  // namespace pvcdb

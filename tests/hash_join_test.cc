@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/database.h"
+#include "src/util/check.h"
 #include "src/util/rng.h"
 
 namespace pvcdb {
@@ -40,13 +41,33 @@ class HashJoinTest : public ::testing::Test {
         std::move(r), std::move(rp));
   }
 
-  // Reference result: product materialised first, selection applied on a
-  // scan of the materialised product (no fast path possible).
+  // Reference result: product materialised first (under a fresh table
+  // name), selection applied on a scan of the materialised product (no
+  // fast path possible).
+  PvcTable Reference(QueryPtr left, QueryPtr right, const Predicate& pred) {
+    std::string name = "product" + std::to_string(++num_products_);
+    db_.AddTable(name, db_.Run(*Query::Product(std::move(left),
+                                               std::move(right))));
+    return db_.Run(*Query::Select(Query::Scan(name), pred));
+  }
+
   PvcTable Reference(const Predicate& pred) {
-    PvcTable product = db_.Run(*Query::Product(Query::Scan("L"),
-                                               Query::Scan("R")));
-    db_.AddTable("LxR", std::move(product));
-    return db_.Run(*Query::Select(Query::Scan("LxR"), pred));
+    return Reference(Query::Scan("L"), Query::Scan("R"), pred);
+  }
+
+  PvcTable FastJoin(QueryPtr left, QueryPtr right, const Predicate& pred) {
+    return db_.Run(*Query::Select(
+        Query::Product(std::move(left), std::move(right)), pred));
+  }
+
+  // Both pipelines emit left-major pairs with right rows in ascending
+  // order, so the rows must also agree one by one.
+  static void ExpectSameRowsInOrder(const PvcTable& a, const PvcTable& b) {
+    ASSERT_EQ(a.NumRows(), b.NumRows());
+    for (size_t i = 0; i < a.NumRows(); ++i) {
+      EXPECT_EQ(a.row(i).cells, b.row(i).cells) << "row " << i;
+      EXPECT_EQ(a.row(i).annotation, b.row(i).annotation) << "row " << i;
+    }
   }
 
   static void ExpectSameRows(const PvcTable& a, const PvcTable& b) {
@@ -68,6 +89,7 @@ class HashJoinTest : public ::testing::Test {
   }
 
   Database db_;
+  int num_products_ = 0;
 };
 
 TEST_F(HashJoinTest, EquiJoinMatchesNaive) {
@@ -144,6 +166,91 @@ TEST_F(HashJoinTest, NoMatchesYieldsEmpty) {
       *Query::Select(Query::Product(Query::Scan("L"), Query::Scan("R")),
                      Predicate::ColEqCol("lk", "rk")));
   EXPECT_EQ(fast.NumRows(), 0u);
+}
+
+// Single-side data atoms filter the join inputs before rows are paired;
+// the cross-side and aggregation-attribute atoms stay per pair, in
+// predicate order.
+TEST_F(HashJoinTest, SingleSideAtomsMatchNaiveRowForRow) {
+  FillTables(11, 60, 60, 8);
+  Predicate left_only = Predicate::ColEqCol("lk", "rk");
+  left_only.And({CmpOp::kGe, Operand::Col("lv"), Operand::Int(20)});
+  Predicate right_only = Predicate::ColCmpInt("rv", CmpOp::kLt, 30);
+  right_only.And({CmpOp::kEq, Operand::Col("rk"), Operand::Col("lk")});
+  Predicate both = Predicate::ColEqCol("lk", "rk");
+  both.And({CmpOp::kNe, Operand::Int(7), Operand::Col("lv")});
+  both.And({CmpOp::kLe, Operand::Col("lv"), Operand::Col("rv")});
+  both.And({CmpOp::kGt, Operand::Col("rv"), Operand::Int(10)});
+  Predicate theta = Predicate::ColCmpInt("lv", CmpOp::kLt, 25);
+  theta.And({CmpOp::kGe, Operand::Col("rv"), Operand::Col("lv")});
+  theta.And({CmpOp::kGe, Operand::Col("rv"), Operand::Int(15)});
+  for (const Predicate& pred : {left_only, right_only, both, theta}) {
+    SCOPED_TRACE(pred.ToString());
+    PvcTable fast = FastJoin(Query::Scan("L"), Query::Scan("R"), pred);
+    EXPECT_GT(fast.NumRows(), 0u);
+    ExpectSameRowsInOrder(fast,
+                          Reference(Query::Scan("L"), Query::Scan("R"), pred));
+  }
+
+  // An aggregation attribute on the left: `s >= 40` extends annotations
+  // and stays per pair, between single-side atoms on both inputs.
+  auto sums = [] {
+    return Query::GroupAgg(Query::Scan("L"), {"lk"},
+                           {{AggKind::kSum, "lv", "s"}});
+  };
+  Predicate agg = Predicate::ColEqCol("lk", "rk");
+  agg.And({CmpOp::kLe, Operand::Col("lk"), Operand::Int(5)});
+  agg.And({CmpOp::kGe, Operand::Col("s"), Operand::Int(40)});
+  agg.And({CmpOp::kLt, Operand::Col("lk"), Operand::Col("rv")});
+  agg.And({CmpOp::kGe, Operand::Col("rv"), Operand::Int(5)});
+  PvcTable fast = FastJoin(sums(), Query::Scan("R"), agg);
+  EXPECT_GT(fast.NumRows(), 0u);
+  ExpectSameRowsInOrder(fast, Reference(sums(), Query::Scan("R"), agg));
+}
+
+// An int column against a string constant fails its type check, so it is
+// no input filter: it stays per pair and throws once a pair reaches it.
+TEST_F(HashJoinTest, MistypedSingleSideAtomStaysPerPair) {
+  FillTables(14, 20, 20, 4);
+  Predicate pred = Predicate::ColEqCol("lk", "rk");
+  pred.And({CmpOp::kEq, Operand::Col("lv"), Operand::Str("x")});
+  EXPECT_THROW(FastJoin(Query::Scan("L"), Query::Scan("R"), pred), CheckError);
+
+  // A filter after the mistyped atom stays per pair too: at this point no
+  // pair has been checked against it, and every pair still throws.
+  Predicate later = pred;
+  later.And({CmpOp::kGt, Operand::Col("lv"), Operand::Int(1000)});
+  EXPECT_THROW(FastJoin(Query::Scan("L"), Query::Scan("R"), later),
+               CheckError);
+
+  // A filter before it rejects every row first, as it would per pair.
+  Predicate earlier = Predicate::ColEqCol("lk", "rk");
+  earlier.And({CmpOp::kGt, Operand::Col("lv"), Operand::Int(1000)});
+  earlier.And({CmpOp::kEq, Operand::Col("lv"), Operand::Str("x")});
+  EXPECT_EQ(FastJoin(Query::Scan("L"), Query::Scan("R"), earlier).NumRows(),
+            0u);
+}
+
+TEST_F(HashJoinTest, MistypedAtomWithoutKeyMatchesYieldsEmpty) {
+  db_.AddTupleIndependentTable("L", Schema({{"lk", CellType::kInt}}),
+                               {{Cell(int64_t{1})}}, {0.5});
+  db_.AddTupleIndependentTable("R", Schema({{"rk", CellType::kInt}}),
+                               {{Cell(int64_t{2})}}, {0.5});
+  Predicate pred = Predicate::ColEqCol("lk", "rk");
+  pred.And({CmpOp::kEq, Operand::Col("lk"), Operand::Str("x")});
+  EXPECT_EQ(FastJoin(Query::Scan("L"), Query::Scan("R"), pred).NumRows(), 0u);
+}
+
+// A left-side atom that rejects every row leaves nothing to pair: the join
+// interns at most the 0_K constant, not one product per key match.
+TEST_F(HashJoinTest, RejectedInputRowsAreNeverPaired) {
+  FillTables(15, 50, 50, 5);
+  Predicate pred = Predicate::ColEqCol("lk", "rk");
+  pred.And({CmpOp::kGt, Operand::Col("lv"), Operand::Int(1000)});
+  size_t before = db_.pool().NumNodes();
+  PvcTable fast = FastJoin(Query::Scan("L"), Query::Scan("R"), pred);
+  EXPECT_EQ(fast.NumRows(), 0u);
+  EXPECT_LE(db_.pool().NumNodes() - before, 1u);
 }
 
 }  // namespace

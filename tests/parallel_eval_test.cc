@@ -5,8 +5,10 @@
 // {2, 4, 8}.
 
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include "src/dtree/compile.h"
 #include "src/dtree/probability.h"
 #include "src/engine/database.h"
+#include "src/query/parser.h"
+#include "src/tpch/tpch_gen.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "tests/figure1_db.h"
@@ -244,6 +248,105 @@ TEST(ParallelEvalTest, ManyTupleStressMatchesSerial) {
     for (size_t i = 0; i < probs.size(); ++i) {
       EXPECT_EQ(probs[i], expected_probs[i]) << "row " << i;
       ExpectBitIdentical(dists[i], expected_dists[i]);
+    }
+  }
+}
+
+// Threaded step I on TPC-H -- borrowed base tables, the hash join's
+// pre-pairing filter (o_custkey = c decides orders rows alone), and a
+// selection below GROUP BY ... HAVING -- must match a serial database in
+// cells, row order, probabilities, conditional aggregate distributions and
+// the number of pool nodes interned.
+TEST(ParallelEvalTest, ThreadedTpchStepOneMatchesSerial) {
+  auto build = [](Database* db) {
+    TpchConfig config;
+    config.scale_factor = 0.01;
+    GenerateTpch(db, config);
+  };
+  Database serial_db;
+  build(&serial_db);
+
+  // The lowest-keyed customer with the most orders, at most five (the
+  // conditional COUNT's joint grows ~2.5x per order).
+  std::map<int64_t, int> orders_of;
+  const PvcTable& orders = serial_db.table("orders");
+  for (size_t i = 0; i < orders.NumRows(); ++i) {
+    ++orders_of[orders.row(i).cells[1].AsInt()];
+  }
+  int64_t customer = -1;
+  int most = 0;
+  for (const auto& [cust, n] : orders_of) {
+    if (n > most && n <= 5) {
+      customer = cust;
+      most = n;
+    }
+  }
+  ASSERT_GE(most, 2) << "no customer with several orders";
+
+  struct Case {
+    std::string sql;
+    std::string agg_column;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT o_custkey, COUNT(*) AS n FROM orders, lineitem "
+       "WHERE o_orderkey = l_orderkey AND o_custkey = " +
+           std::to_string(customer) + " GROUP BY o_custkey",
+       "n"},
+      {"SELECT l_orderkey, SUM(l_quantity) AS q FROM lineitem "
+       "WHERE l_orderkey >= 10 AND l_orderkey < 15 GROUP BY l_orderkey "
+       "HAVING q >= 60",
+       "q"},
+  };
+
+  // Per case: the result, its probabilities and conditional aggregate
+  // distributions, and the pool size after each step.
+  struct Observed {
+    PvcTable result;
+    std::vector<double> probs;
+    std::vector<Distribution> conditional;
+    std::vector<size_t> pool_nodes;
+  };
+  auto observe = [&](Database* db) {
+    std::vector<Observed> all;
+    for (const Case& c : cases) {
+      ParseResult parsed = ParseQuery(c.sql);
+      EXPECT_TRUE(parsed.ok()) << parsed.error;
+      Observed o;
+      o.result = db->Run(*parsed.query);
+      o.pool_nodes.push_back(db->pool().NumNodes());
+      o.probs = db->TupleProbabilities(o.result);
+      for (size_t i = 0; i < o.result.NumRows(); ++i) {
+        o.conditional.push_back(
+            db->ConditionalAggregateDistribution(o.result, i, c.agg_column));
+      }
+      o.pool_nodes.push_back(db->pool().NumNodes());
+      all.push_back(std::move(o));
+    }
+    return all;
+  };
+
+  std::vector<Observed> expected = observe(&serial_db);
+  ASSERT_EQ(expected[0].result.NumRows(), 1u);
+  ASSERT_GT(expected[1].result.NumRows(), 0u);
+  for (int threads : {2, 4, 8}) {
+    Database db;
+    build(&db);
+    db.eval_options().num_threads = threads;
+    std::vector<Observed> actual = observe(&db);
+    for (size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE(cases[c].sql + " with " + std::to_string(threads) +
+                   " threads");
+      const Observed& e = expected[c];
+      const Observed& a = actual[c];
+      ASSERT_EQ(a.result.NumRows(), e.result.NumRows());
+      for (size_t i = 0; i < a.result.NumRows(); ++i) {
+        EXPECT_EQ(a.result.row(i).cells, e.result.row(i).cells) << "row " << i;
+        EXPECT_EQ(a.result.row(i).annotation, e.result.row(i).annotation)
+            << "row " << i;
+        EXPECT_EQ(a.probs[i], e.probs[i]) << "row " << i;
+        ExpectBitIdentical(a.conditional[i], e.conditional[i]);
+      }
+      EXPECT_EQ(a.pool_nodes, e.pool_nodes);
     }
   }
 }

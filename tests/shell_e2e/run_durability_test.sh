@@ -7,7 +7,8 @@
 # fresh process: recovery must decode the PROD view from the snapshot,
 # replay the whole WAL tail (the PROD view record, the `shards 2` topology
 # record and the insert after them), serve the views bit-identically,
-# survive a `save` checkpoint rotation, and reshard back to 1.
+# survive a `save` checkpoint rotation, and reshard back to 1; a second
+# `shards 1` must then log nothing (wal_records stays 1).
 #
 # The store path differs per run, so inputs carry a @DIR@ placeholder that
 # is substituted in, and transcripts are normalized back before diffing.

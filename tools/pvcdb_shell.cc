@@ -101,6 +101,11 @@ class LocalSession : public Session {
     }
     if (n < 1) return "usage: shards <n >= 1>\n";
     if (durable_ != nullptr) {
+      // Resharding to the current count logs nothing (DurableSession).
+      if (static_cast<uint64_t>(n) == engine()->num_shards()) {
+        out << "shards = " << n << " (unchanged)\n";
+        return out.str();
+      }
       std::string error;
       if (!durable_->Reshard(static_cast<uint64_t>(n), &error)) {
         return "error: " + error + "\n";
