@@ -193,58 +193,48 @@ void Coordinator::CountShardRequest(size_t s) {
 
 // -- Catalog ----------------------------------------------------------------
 
-void Coordinator::PartitionAndShip(const std::string& name, size_t key_index,
-                                   std::vector<VarId> vars) {
+void Coordinator::PartitionAndShip(const std::string& name,
+                                   size_t key_index) {
   // The kSyncVars entry for the table's variables must precede its
   // kLoadPartition entries in every shard log.
   FlushVars();
-
-  const PvcTable& logical = local_.table(name);
-  std::vector<LoadPartitionMsg> parts(workers_.size());
-  std::string key_name = logical.schema().column(key_index).name;
-  for (size_t s = 0; s < workers_.size(); ++s) {
-    parts[s].table = name;
-    parts[s].key_column = key_name;
-    parts[s].schema = logical.schema();
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> placement;
-  placement.reserve(logical.NumRows());
-  for (size_t i = 0; i < logical.NumRows(); ++i) {
-    size_t s = router_.Route(logical.row(i).cells[key_index],
-                             workers_.size());
-    placement.emplace_back(static_cast<uint32_t>(s),
-                           static_cast<uint32_t>(parts[s].rows.size()));
-    parts[s].rows.push_back(logical.row(i).cells);
-    parts[s].vars.push_back(vars[i]);
-    parts[s].global_rows.push_back(i);
-  }
-  placements_[name] = std::move(placement);
   key_columns_[name] = key_index;
-  table_vars_[name] = std::move(vars);
-
+  std::vector<LoadPartitionMsg> parts = PartitionsOf(name);
   for (size_t s = 0; s < workers_.size(); ++s) {
     // The worker re-seeds its views of a replaced table itself.
     LogAndShip(s, MsgKind::kLoadPartition, parts[s].Encode());
   }
 }
 
+std::vector<LoadPartitionMsg> Coordinator::PartitionsOf(
+    const std::string& name) const {
+  const PvcTable& logical = local_.table(name);
+  size_t key_index = key_columns_.at(name);
+  std::vector<LoadPartitionMsg> parts(workers_.size());
+  for (LoadPartitionMsg& part : parts) {
+    part.table = name;
+    part.key_column = logical.schema().column(key_index).name;
+    part.schema = logical.schema();
+  }
+  for (const Row& row : logical.rows()) {
+    LoadPartitionMsg& part =
+        parts[router_.Route(row.cells[key_index], workers_.size())];
+    part.rows.push_back(row.cells);
+    part.vars.push_back(RowVar(local_.pool(), row.annotation));
+  }
+  return parts;
+}
+
 void Coordinator::AddTupleIndependentTable(
     const std::string& name, Schema schema,
     std::vector<std::vector<Cell>> rows, std::vector<double> probabilities) {
   PVC_CHECK_MSG(schema.NumColumns() > 0, "cannot shard a zero-column table");
-  const size_t key_index = 0;  // CSV loads route by the primary key.
-  VarId var_base = static_cast<VarId>(local_.variables().size());
-  size_t num_rows = rows.size();
-  std::vector<VarId> vars;
-  vars.reserve(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) {
-    vars.push_back(var_base + static_cast<VarId>(i));
-  }
   // The replica performs the exact load an unsharded Database would:
-  // Bernoulli variables in global row order, VarIds matching.
+  // Bernoulli variables in global row order, VarIds matching. CSV loads
+  // route by the primary key.
   local_.AddTupleIndependentTable(name, std::move(schema), std::move(rows),
                                   std::move(probabilities));
-  PartitionAndShip(name, key_index, std::move(vars));
+  PartitionAndShip(name, /*key_index=*/0);
 }
 
 void Coordinator::AddVariableAnnotatedTable(
@@ -259,44 +249,35 @@ void Coordinator::AddVariableAnnotatedTable(
                             << "'");
     key_index = *found;
   }
+  CheckVarsAscending(name, vars);
   local_.AddVariableAnnotatedTable(name, std::move(schema), std::move(rows),
                                    vars);
-  PartitionAndShip(name, key_index, vars);
+  PartitionAndShip(name, key_index);
 }
 
 std::vector<size_t> Coordinator::ShardRowCounts(
     const std::string& name) const {
-  auto it = placements_.find(name);
-  PVC_CHECK_MSG(it != placements_.end(),
+  auto it = key_columns_.find(name);
+  PVC_CHECK_MSG(it != key_columns_.end(),
                 "no sharded table named '" << name << "'");
   std::vector<size_t> counts(workers_.size(), 0);
-  for (const auto& [s, r] : it->second) ++counts[s];
+  for (const Row& row : local_.table(name).rows()) {
+    ++counts[router_.Route(row.cells[it->second], workers_.size())];
+  }
   return counts;
 }
 
 // -- Mutations --------------------------------------------------------------
 
 void Coordinator::ShipAppendedRow(const std::string& table, size_t key_index,
-                                  const std::vector<Cell>& cells, VarId var,
-                                  size_t global_row) {
+                                  const std::vector<Cell>& cells, VarId var) {
   FlushVars();
-  table_vars_[table].push_back(var);
-
-  size_t s = router_.Route(cells[key_index], workers_.size());
-  std::vector<std::pair<uint32_t, uint32_t>>& placement = placements_[table];
-  uint32_t shard_row = 0;
-  for (const auto& [ps, pr] : placement) {
-    (void)pr;
-    if (ps == s) ++shard_row;
-  }
-  placement.emplace_back(static_cast<uint32_t>(s), shard_row);
-
   AppendRowMsg msg;
   msg.table = table;
   msg.cells = cells;
   msg.var = var;
-  msg.global_row = global_row;
-  LogAndShip(s, MsgKind::kAppendRow, msg.Encode());
+  LogAndShip(router_.Route(cells[key_index], workers_.size()),
+             MsgKind::kAppendRow, msg.Encode());
 }
 
 size_t Coordinator::InsertTuple(const std::string& table,
@@ -310,37 +291,42 @@ size_t Coordinator::InsertTuple(const std::string& table,
   // variable with the next global id, replica-registered views absorb the
   // delta), then the owning worker gets the routed append.
   VarId x = static_cast<VarId>(local_.variables().size());
-  size_t global_row = local_.InsertTuple(table, cells, p);
-  ShipAppendedRow(table, key_it->second, cells, x, global_row);
-  return global_row;
+  size_t row_index = local_.InsertTuple(table, cells, p);
+  ShipAppendedRow(table, key_it->second, cells, x);
+  return row_index;
+}
+
+size_t Coordinator::AppendRowToTable(const std::string& table,
+                                     std::vector<Cell> cells, VarId var) {
+  auto key_it = key_columns_.find(table);
+  PVC_CHECK_MSG(key_it != key_columns_.end(),
+                "no sharded table named '" << table << "'");
+  PVC_CHECK_MSG(key_it->second < cells.size(), "row is missing its key cell");
+  PVC_CHECK_MSG(var < local_.variables().size(),
+                "unknown variable id " << var);
+  CheckAppendedVar(table, local_.pool(), local_.table(table), var);
+  size_t row_index =
+      local_.AppendRowToTable(table, cells, local_.pool().Var(var));
+  ShipAppendedRow(table, key_it->second, cells, var);
+  return row_index;
 }
 
 void Coordinator::DeleteRowAt(const std::string& table, size_t row_index) {
-  auto it = placements_.find(table);
-  PVC_CHECK_MSG(it != placements_.end(),
+  auto key_it = key_columns_.find(table);
+  PVC_CHECK_MSG(key_it != key_columns_.end(),
                 "no sharded table named '" << table << "'");
-  std::vector<std::pair<uint32_t, uint32_t>>& placement = it->second;
-  PVC_CHECK_MSG(row_index < placement.size(),
+  const PvcTable& logical = local_.table(table);
+  PVC_CHECK_MSG(row_index < logical.NumRows(),
                 "row index " << row_index << " out of range");
-  auto [s, shard_row] = placement[row_index];
-
+  DeleteRowMsg msg;
+  msg.table = table;
+  msg.var = RowVar(local_.pool(), logical.row(row_index).annotation);
+  size_t owner =
+      router_.Route(logical.row(row_index).cells[key_it->second],
+                    workers_.size());
   local_.DeleteRowAt(table, row_index);
-  placement.erase(placement.begin() + static_cast<ptrdiff_t>(row_index));
-  for (auto& [ps, pr] : placement) {
-    if (ps == s && pr > shard_row) --pr;
-  }
-  std::vector<VarId>& vars = table_vars_[table];
-  vars.erase(vars.begin() + static_cast<ptrdiff_t>(row_index));
-
-  // Broadcast: the owner drops its local row, everyone shifts global ids.
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    DeleteRowMsg msg;
-    msg.table = table;
-    msg.has_local_row = (w == s);
-    msg.local_row = shard_row;
-    msg.global_row = row_index;
-    LogAndShip(w, MsgKind::kDeleteRow, msg.Encode());
-  }
+  // Only the owner holds the row; no other worker's state changes.
+  LogAndShip(owner, MsgKind::kDeleteRow, msg.Encode());
 }
 
 size_t Coordinator::DeleteTuple(const std::string& table, const Cell& key) {
@@ -378,19 +364,9 @@ void Coordinator::ApplyRecoveredOp(const WalOp& op) {
       AddVariableAnnotatedTable(op.name, op.schema, op.rows, op.vars,
                                 op.key_column);
       return;
-    case WalOpType::kInsertRow: {
-      PVC_CHECK_MSG(op.var < local_.variables().size(),
-                    "kInsertRow references unregistered variable x"
-                        << op.var);
-      auto key_it = key_columns_.find(op.name);
-      PVC_CHECK_MSG(key_it != key_columns_.end(),
-                    "kInsertRow for unknown sharded table '" << op.name
-                                                             << "'");
-      size_t global_row = local_.AppendRowToTable(
-          op.name, op.cells, local_.pool().Var(op.var));
-      ShipAppendedRow(op.name, key_it->second, op.cells, op.var, global_row);
+    case WalOpType::kInsertRow:
+      AppendRowToTable(op.name, op.cells, op.var);
       return;
-    }
     case WalOpType::kDeleteRow:
       DeleteRowAt(op.name, op.row_index);
       return;
@@ -406,7 +382,7 @@ void Coordinator::ApplyRecoveredOp(const WalOp& op) {
     case WalOpType::kReshard:
       // Server-mode topology is deployment configuration, not durable
       // state: the recovered history replays against the current worker
-      // set (placements recompute; mismatched workers full-resync).
+      // set (routing recomputes; mismatched workers full-resync).
       return;
   }
   PVC_FAIL("unknown WAL op type");
@@ -416,11 +392,7 @@ void Coordinator::ApplyRecoveredOp(const WalOp& op) {
 
 bool Coordinator::Distributable(const Query& q, std::string* driving) const {
   std::optional<std::string> table = ShardDrivingTable(q);
-  if (!table.has_value() || placements_.count(*table) == 0) return false;
-  if (local_.table(*table).schema().Find(kShardRowIdColumn).has_value()) {
-    return false;
-  }
-  if (QueryMentionsColumn(q, kShardRowIdColumn)) return false;
+  if (!table.has_value() || key_columns_.count(*table) == 0) return false;
   *driving = *table;
   return true;
 }
@@ -432,9 +404,7 @@ QueryRun Coordinator::GatherChainRows(const Schema& schema,
     for (ChainRow& row : reply.rows) merged.push_back(std::move(row));
   }
   std::sort(merged.begin(), merged.end(),
-            [](const ChainRow& a, const ChainRow& b) {
-              return a.global_row < b.global_row;
-            });
+            [](const ChainRow& a, const ChainRow& b) { return a.var < b.var; });
 
   QueryRun run;
   run.schema = schema;
@@ -707,24 +677,6 @@ void Coordinator::SendOptionsTo(size_t s) {
 
 // -- Worker management ------------------------------------------------------
 
-LoadPartitionMsg Coordinator::PartitionFor(const std::string& name,
-                                           size_t s) const {
-  const PvcTable& logical = local_.table(name);
-  const auto& placement = placements_.at(name);
-  const std::vector<VarId>& vars = table_vars_.at(name);
-  LoadPartitionMsg msg;
-  msg.table = name;
-  msg.key_column = logical.schema().column(key_columns_.at(name)).name;
-  msg.schema = logical.schema();
-  for (size_t i = 0; i < placement.size(); ++i) {
-    if (placement[i].first != s) continue;
-    msg.rows.push_back(logical.row(i).cells);
-    msg.vars.push_back(vars[i]);
-    msg.global_rows.push_back(i);
-  }
-  return msg;
-}
-
 bool Coordinator::ResyncWorker(size_t s, ResyncStats* stats,
                                std::string* error) {
   *stats = ResyncStats{};
@@ -819,10 +771,10 @@ bool Coordinator::ResyncWorker(size_t s, ResyncStats* stats,
       }
       ship(MsgKind::kSyncVars, msg.Encode());
     }
-    // Map order: placement and annotations reproduce the original load.
-    for (const auto& [name, placement] : placements_) {
-      (void)placement;
-      ship(MsgKind::kLoadPartition, PartitionFor(name, s).Encode());
+    // Map order; routing and annotations reproduce the original load.
+    for (const auto& [name, key_index] : key_columns_) {
+      (void)key_index;
+      ship(MsgKind::kLoadPartition, PartitionsOf(name)[s].Encode());
     }
     for (const RemoteView& view : remote_views_) {
       RegisterChainViewMsg msg;

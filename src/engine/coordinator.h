@@ -14,6 +14,12 @@
 // independent of pool history -- so the gathered numbers are bit-identical
 // to the in-process scatter at any shard count.
 //
+// A row's identity is its annotation variable (src/engine/shard.h): the
+// coordinator keeps no placement map. A row's owner is the router's pure
+// function of its key cell, its variable is read from the replica's
+// annotation, appends and deletes go to the owning worker only, and the
+// gather merges chain rows by variable.
+//
 // Degraded mode: any transport failure marks that worker down (WorkerDown)
 // and every distributed path falls back to the local replica, with a
 // "warning: worker N down..." line attached to the result. Values stay
@@ -169,9 +175,9 @@ class Coordinator {
   void set_wal(WalWriter* wal) { local_.set_wal(wal); }
   WalWriter* wal() const { return local_.wal(); }
 
-  /// Recovery replay mode: mutations rebuild the replica, the placement
-  /// bookkeeping and the per-shard logs, but nothing is sent to workers
-  /// (ReconcileWorkers squares them up afterwards).
+  /// Recovery replay mode: mutations rebuild the replica and the per-shard
+  /// logs, but nothing is sent to workers (ReconcileWorkers squares them up
+  /// afterwards).
   void BeginReplay() { replaying_ = true; }
   void EndReplay() { replaying_ = false; }
   bool replaying() const { return replaying_; }
@@ -183,11 +189,20 @@ class Coordinator {
 
   /// Rebuild hook: registers a table whose rows are annotated by existing
   /// variables (snapshot kCreateTable replay), then partitions it across
-  /// the shard logs / live workers exactly like a fresh load.
+  /// the shard logs / live workers exactly like a fresh load. `vars` must
+  /// be strictly increasing (CheckError otherwise, with nothing changed).
   void AddVariableAnnotatedTable(const std::string& name, Schema schema,
                                  std::vector<std::vector<Cell>> rows,
                                  const std::vector<VarId>& vars,
                                  const std::string& key_column);
+
+  /// Replay hook (kInsertRow) mirroring ShardedDatabase::AppendRowToTable:
+  /// appends a row annotated with the existing variable `var` to the
+  /// replica and ships it to the owning worker. `var` must exceed the
+  /// variable of every row of the table (CheckError otherwise, with
+  /// nothing changed). Returns the new row's index.
+  size_t AppendRowToTable(const std::string& table, std::vector<Cell> cells,
+                          VarId var);
 
   /// Resyncs every live worker against its shard log after a recovery
   /// replay: a tail replay when the worker's (lsn, chain) position proves
@@ -224,7 +239,7 @@ class Coordinator {
     return local_.table(name).NumRows();
   }
 
-  /// Rows per shard (from the placement map, so it is exact even while
+  /// Rows per shard (routed from the replica, so it is exact even while
   /// workers are down).
   std::vector<size_t> ShardRowCounts(const std::string& name) const;
 
@@ -392,17 +407,14 @@ class Coordinator {
   /// when the worker acked.
   bool LogAndShip(size_t s, MsgKind kind, const std::string& payload);
 
-  /// Shared tail of table registration: records placement / key / vars
-  /// bookkeeping for the replica table `name` and ships one kLoadPartition
-  /// per shard.
-  void PartitionAndShip(const std::string& name, size_t key_index,
-                        std::vector<VarId> vars);
+  /// Shared tail of table registration: records the key column of the
+  /// replica table `name` and ships one kLoadPartition per shard.
+  void PartitionAndShip(const std::string& name, size_t key_index);
 
-  /// Shared tail of row insertion: placement bookkeeping plus the routed
-  /// kAppendRow to the owning shard.
+  /// Shared tail of row insertion: the routed kAppendRow to the owning
+  /// shard.
   void ShipAppendedRow(const std::string& table, size_t key_index,
-                       const std::vector<Cell>& cells, VarId var,
-                       size_t global_row);
+                       const std::vector<Cell>& cells, VarId var);
 
   /// Brings worker `s` (up, freshly handshaken or reconnected) in line
   /// with its shard log: kReplayTail position probe, then either a
@@ -424,10 +436,10 @@ class Coordinator {
   bool Scatter(MsgKind kind, const std::string& payload, MsgKind expect,
                std::vector<Reply>* replies);
 
-  /// Merges per-worker chain rows by global driving-row order and renders
-  /// them through a scratch pool (annotations of the distributable
-  /// fragment are single variables, so the rendering matches the
-  /// replica's).
+  /// Merges per-worker chain rows by variable -- the unsharded row order --
+  /// and renders them through a scratch pool (annotations of the
+  /// distributable fragment are single variables, so the rendering matches
+  /// the replica's).
   QueryRun GatherChainRows(const Schema& schema,
                            std::vector<ChainResultMsg> replies);
 
@@ -437,8 +449,8 @@ class Coordinator {
   /// replica's pool is undisturbed.
   QueryRun EvalChainLocally(const Query& q);
 
-  /// Builds worker `s`'s partition of `name` from the replica + placement.
-  LoadPartitionMsg PartitionFor(const std::string& name, size_t s) const;
+  /// Every worker's partition of `name`, routed from the replica.
+  std::vector<LoadPartitionMsg> PartitionsOf(const std::string& name) const;
 
   void DeleteRowAt(const std::string& table, size_t row_index);
 
@@ -473,12 +485,8 @@ class Coordinator {
   std::vector<ShardLog> logs_;  ///< One applied-mutation log per shard.
   size_t logged_vars_ = 0;      ///< Variables covered by kSyncVars entries.
   bool replaying_ = false;      ///< Recovery replay: log, don't send.
-  /// Per table: global row -> (shard, row within the shard's partition).
-  std::map<std::string, std::vector<std::pair<uint32_t, uint32_t>>>
-      placements_;
+  /// Per sharded table: the key column rows are routed by.
   std::map<std::string, size_t> key_columns_;
-  /// Per table: the annotation VarId of every global row (respawn resync).
-  std::map<std::string, std::vector<VarId>> table_vars_;
   std::vector<RemoteView> remote_views_;
   /// Lazily resolved "coord.shard<N>.requests" counters, one per shard.
   std::vector<Counter*> shard_request_counters_;

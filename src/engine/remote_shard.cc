@@ -128,12 +128,6 @@ ChainResultMsg RemoteShard::EvalChain(const EvalChainMsg& msg) {
   return DecodeReplyOrDown<ChainResultMsg>(shard_index_, reply);
 }
 
-ProbsResultMsg RemoteShard::TableProbs(const TableProbsMsg& msg) {
-  std::string reply =
-      Call(MsgKind::kTableProbs, msg.Encode(), MsgKind::kProbsResult);
-  return DecodeReplyOrDown<ProbsResultMsg>(shard_index_, reply);
-}
-
 uint64_t RemoteShard::RegisterChainView(const RegisterChainViewMsg& msg) {
   std::string reply =
       Call(MsgKind::kRegisterChainView, msg.Encode(), MsgKind::kOk);

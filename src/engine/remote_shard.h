@@ -110,7 +110,6 @@ class RemoteShard {
   void AppendRow(const AppendRowMsg& msg);
   void DeleteRow(const DeleteRowMsg& msg);
   ChainResultMsg EvalChain(const EvalChainMsg& msg);
-  ProbsResultMsg TableProbs(const TableProbsMsg& msg);
   uint64_t RegisterChainView(const RegisterChainViewMsg& msg);
   void DropChainView(const std::string& name);
   ChainResultMsg ViewProbs(const std::string& name);

@@ -9,12 +9,7 @@
 
 namespace pvcdb {
 
-const char kShardRowIdColumn[] = "__pvcdb_rowid";
-
 namespace {
-
-/// File-local alias; see the declaration in shard.h.
-constexpr const char* kRowIdColumn = kShardRowIdColumn;
 
 /// Detaches the coordinator's WAL writer for the guarded scope. Used where
 /// the sharded facade logs a richer record itself (table loads carry the
@@ -35,6 +30,46 @@ class WalDetachGuard {
 };
 
 }  // namespace
+
+VarId RowVar(const ExprPool& pool, ExprId annotation) {
+  const ExprNode& node = pool.node(annotation);
+  PVC_CHECK_MSG(node.kind == ExprKind::kVar,
+                "a sharded row must be annotated by a single variable");
+  return node.var();
+}
+
+std::optional<size_t> FindRowByVar(const ExprPool& pool, const PvcTable& table,
+                                   VarId var) {
+  const std::vector<Row>& rows = table.rows();
+  auto it = std::lower_bound(rows.begin(), rows.end(), var,
+                             [&](const Row& row, VarId v) {
+                               return RowVar(pool, row.annotation) < v;
+                             });
+  if (it == rows.end() || RowVar(pool, it->annotation) != var) {
+    return std::nullopt;
+  }
+  return static_cast<size_t>(it - rows.begin());
+}
+
+void CheckVarsAscending(const std::string& table,
+                        const std::vector<VarId>& vars) {
+  for (size_t i = 1; i < vars.size(); ++i) {
+    PVC_CHECK_MSG(vars[i - 1] < vars[i],
+                  "sharded table '" << table << "': row " << i
+                                    << " has variable " << vars[i]
+                                    << ", not above the previous row's "
+                                    << vars[i - 1]);
+  }
+}
+
+void CheckAppendedVar(const std::string& table, const ExprPool& pool,
+                      const PvcTable& rows, VarId var) {
+  if (rows.NumRows() == 0) return;
+  VarId last = RowVar(pool, rows.row(rows.NumRows() - 1).annotation);
+  PVC_CHECK_MSG(last < var, "sharded table '"
+                                << table << "': appended variable " << var
+                                << " is not above the last row's " << last);
+}
 
 size_t FnvShardRouter::Route(const Cell& key, size_t num_shards) const {
   return static_cast<size_t>(key.StableHash() % num_shards);
@@ -117,6 +152,7 @@ void ShardedDatabase::AddVariableAnnotatedTable(
     const std::string& key_column) {
   PVC_CHECK_MSG(schema.NumColumns() > 0, "cannot shard a zero-column table");
   size_t key_index = key_column.empty() ? 0 : schema.IndexOf(key_column);
+  CheckVarsAscending(name, vars);
   WalRecord record;
   if (wal() != nullptr) {
     record.ops.push_back(WalOp::CreateTable(
@@ -150,12 +186,8 @@ void ShardedDatabase::PartitionLoadedTable(const std::string& name,
   for (size_t s = 0; s < shards_.size(); ++s) {
     partitions.emplace_back(logical.schema());
   }
-  std::vector<std::pair<uint32_t, uint32_t>> placement;
-  placement.reserve(logical.NumRows());
   for (size_t i = 0; i < logical.NumRows(); ++i) {
     size_t s = assignment[i];
-    placement.emplace_back(static_cast<uint32_t>(s),
-                           static_cast<uint32_t>(partitions[s].NumRows()));
     // The shard re-interns the row's variable in its own pool; the VarId --
     // and hence every probability downstream -- is the global one.
     partitions[s].AddRow(logical.row(i).cells,
@@ -164,9 +196,7 @@ void ShardedDatabase::PartitionLoadedTable(const std::string& name,
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->AddTable(name, std::move(partitions[s]));
   }
-  placements_[name] = std::move(placement);
   key_columns_[name] = key_index;
-  augmented_cache_.erase(name);
   // Re-seed per-shard views of the replaced table (the coordinator's
   // registry invalidates its own views through AddTable).
   for (auto& view : sharded_views_) {
@@ -202,14 +232,6 @@ std::vector<size_t> ShardedDatabase::ShardRowCounts(
   return counts;
 }
 
-const std::vector<std::pair<uint32_t, uint32_t>>&
-ShardedDatabase::PlacementOf(const std::string& name) const {
-  auto it = placements_.find(name);
-  PVC_CHECK_MSG(it != placements_.end(),
-                "no sharded table named '" << name << "'");
-  return it->second;
-}
-
 void ShardedDatabase::SyncShardOptions() {
   for (auto& shard : shards_) {
     shard->eval_options() = coordinator_.eval_options();
@@ -232,10 +254,8 @@ ShardedResult ShardedDatabase::CoordinatorResult(PvcTable table) const {
 ShardedResult ShardedDatabase::Run(const Query& q) {
   SyncShardOptions();
   std::optional<std::string> driving = ShardDrivingTable(q);
-  if (driving.has_value() && placements_.count(*driving) > 0 &&
-      !coordinator_.table(*driving).schema().Find(kRowIdColumn).has_value() &&
-      !QueryMentionsColumn(q, kRowIdColumn)) {
-    return RunDistributed(q, *driving);
+  if (driving.has_value() && key_columns_.count(*driving) > 0) {
+    return RunDistributed(q);
   }
   // Gather: joins, projections, unions and aggregates merge rows across
   // partitions; the coordinator replays the unsharded engine bit for bit.
@@ -246,121 +266,78 @@ ShardedResult ShardedDatabase::RunDeterministic(const Query& q) {
   return CoordinatorResult(coordinator_.RunDeterministic(q));
 }
 
-const std::vector<PvcTable>& ShardedDatabase::AugmentedPartitionsOf(
-    const std::string& table) {
-  auto it = augmented_cache_.find(table);
-  if (it != augmented_cache_.end()) return it->second;
-  // Placement is fixed at load time, so the partitions extended with the
-  // provenance column are built once per table and reused by every
-  // distributed query (invalidated when the table is replaced).
-  const std::vector<std::pair<uint32_t, uint32_t>>& placement =
-      PlacementOf(table);
-  std::vector<std::vector<int64_t>> global_ids(shards_.size());
-  for (size_t i = 0; i < placement.size(); ++i) {
-    global_ids[placement[i].first].push_back(static_cast<int64_t>(i));
-  }
-  std::vector<PvcTable> augmented;
-  augmented.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const PvcTable& partition = shards_[s]->table(table);
-    std::vector<Column> columns = partition.schema().columns();
-    columns.push_back({kRowIdColumn, CellType::kInt});
-    PvcTable part{Schema(std::move(columns))};
-    for (size_t j = 0; j < partition.NumRows(); ++j) {
-      std::vector<Cell> cells = partition.row(j).cells;
-      cells.emplace_back(global_ids[s][j]);
-      part.AddRow(std::move(cells), partition.row(j).annotation);
-    }
-    augmented.push_back(std::move(part));
-  }
-  return augmented_cache_.emplace(table, std::move(augmented)).first->second;
-}
-
-ShardedDatabase::DistributedParts ShardedDatabase::EvalDistributed(
-    const Query& q, const std::string& table) {
-  // Scatter: each shard evaluates the chain against its partition extended
-  // with the hidden provenance column, interning only into its own pool.
-  const std::vector<PvcTable>& augmented = AugmentedPartitionsOf(table);
-  std::vector<PvcTable> results(shards_.size());
+std::vector<PvcTable> ShardedDatabase::EvalDistributed(const Query& q) {
+  // Scatter: each shard evaluates the chain against its partition, read in
+  // place, interning only into its own pool.
+  std::vector<PvcTable> parts(shards_.size());
   const EvalOptions& options = coordinator_.eval_options();
   ParallelFor(options.num_threads, shards_.size(), [&](size_t s) {
     QueryEvaluator evaluator(
         &shards_[s]->pool(),
         [&](const std::string& name) -> const PvcTable& {
-          if (name == table) return augmented[s];
           return shards_[s]->table(name);
         },
         EvalMode::kProbabilistic, options);
-    results[s] = evaluator.Eval(q);
+    parts[s] = evaluator.Eval(q);
   });
+  return parts;
+}
 
-  // Gather: strip the provenance column and merge on driving-row order,
-  // which is exactly the row order of the unsharded evaluation (Select and
-  // Rename emit surviving rows in input order).
-  size_t rowid_index = results[0].schema().IndexOf(kRowIdColumn);
-  std::vector<Column> out_columns = results[0].schema().columns();
-  out_columns.erase(out_columns.begin() + rowid_index);
+ShardedResult ShardedDatabase::RunDistributed(const Query& q) {
+  ShardedResult result;
+  result.parts_ = EvalDistributed(q);
+  result.schema_ = result.parts_[0].schema();
+  result.distributed_ = true;
+  // Gather: Select and Rename emit surviving rows in input order with
+  // their annotations untouched, so the merge on the rows' variables is
+  // exactly the row order of the unsharded evaluation.
+  result.order_ = MergeByVar(PartsOf(result));
+  return result;
+}
 
-  DistributedParts out;
-  out.schema = Schema{std::move(out_columns)};
-  out.parts.reserve(shards_.size());
-  out.global.resize(shards_.size());
-  struct Survivor {
-    int64_t global_row;
+std::vector<ShardedDatabase::PartRef> ShardedDatabase::ShardParts(
+    const std::vector<PvcTable>& parts) const {
+  std::vector<PartRef> refs;
+  refs.reserve(parts.size());
+  for (size_t s = 0; s < parts.size(); ++s) {
+    refs.push_back({&parts[s], &shards_[s]->pool()});
+  }
+  return refs;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> ShardedDatabase::MergeByVar(
+    const std::vector<PartRef>& parts) {
+  struct Entry {
+    VarId var;
     uint32_t part;
     uint32_t row;
   };
-  std::vector<Survivor> survivors;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    PvcTable stripped{out.schema};
-    for (size_t j = 0; j < results[s].NumRows(); ++j) {
-      const Row& r = results[s].row(j);
-      int64_t global_row = r.cells[rowid_index].AsInt();
-      survivors.push_back({global_row, static_cast<uint32_t>(s),
-                           static_cast<uint32_t>(j)});
-      out.global[s].push_back(global_row);
-      std::vector<Cell> cells = r.cells;
-      cells.erase(cells.begin() + rowid_index);
-      stripped.AddRow(std::move(cells), r.annotation);
+  std::vector<Entry> entries;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const PvcTable& table = *parts[p].table;
+    for (size_t j = 0; j < table.NumRows(); ++j) {
+      entries.push_back({RowVar(*parts[p].pool, table.row(j).annotation),
+                         static_cast<uint32_t>(p), static_cast<uint32_t>(j)});
     }
-    out.parts.push_back(std::move(stripped));
   }
-  std::sort(survivors.begin(), survivors.end(),
-            [](const Survivor& a, const Survivor& b) {
-              return a.global_row < b.global_row;
-            });
-  out.order.reserve(survivors.size());
-  for (const Survivor& s : survivors) {
-    out.order.emplace_back(s.part, s.row);
-  }
-  return out;
-}
-
-ShardedResult ShardedDatabase::RunDistributed(const Query& q,
-                                              const std::string& table) {
-  DistributedParts parts = EvalDistributed(q, table);
-  ShardedResult result;
-  result.schema_ = std::move(parts.schema);
-  result.distributed_ = true;
-  result.parts_ = std::move(parts.parts);
-  result.order_ = std::move(parts.order);
-  return result;
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.var < b.var; });
+  std::vector<std::pair<uint32_t, uint32_t>> order;
+  order.reserve(entries.size());
+  for (const Entry& e : entries) order.emplace_back(e.part, e.row);
+  return order;
 }
 
 std::vector<ShardedDatabase::PartRef> ShardedDatabase::PartsOf(
     const ShardedResult& result) const {
-  std::vector<PartRef> parts;
-  parts.reserve(result.parts_.size());
-  for (size_t p = 0; p < result.parts_.size(); ++p) {
-    const ExprPool& pool = result.distributed_ ? shards_[p]->pool()
-                                               : coordinator_.pool();
-    parts.push_back({&result.parts_[p], &pool});
-  }
-  return parts;
+  if (result.distributed_) return ShardParts(result.parts_);
+  return {{&result.parts_[0], &coordinator_.pool()}};
 }
 
 std::vector<ShardedDatabase::PartRef> ShardedDatabase::PartsOfTable(
     const std::string& name) const {
+  PVC_CHECK_MSG(key_columns_.count(name) > 0,
+                "no sharded table named '" << name << "'");
   std::vector<PartRef> parts;
   parts.reserve(shards_.size());
   for (const auto& shard : shards_) {
@@ -436,12 +413,8 @@ std::vector<ProbabilityBounds> ShardedDatabase::ApproximateTupleProbabilities(
 
 std::vector<double> ShardedDatabase::TupleProbabilities(
     const std::string& name) {
-  SyncShardOptions();
-  std::vector<Distribution> distributions =
-      DistributionsImpl(PartsOfTable(name), PlacementOf(name));
   std::vector<double> out;
-  out.reserve(distributions.size());
-  for (const Distribution& d : distributions) {
+  for (const Distribution& d : AnnotationDistributions(name)) {
     out.push_back(NonZeroMass(d));
   }
   return out;
@@ -450,13 +423,15 @@ std::vector<double> ShardedDatabase::TupleProbabilities(
 std::vector<Distribution> ShardedDatabase::AnnotationDistributions(
     const std::string& name) {
   SyncShardOptions();
-  return DistributionsImpl(PartsOfTable(name), PlacementOf(name));
+  std::vector<PartRef> parts = PartsOfTable(name);
+  return DistributionsImpl(parts, MergeByVar(parts));
 }
 
 std::vector<ProbabilityBounds> ShardedDatabase::ApproximateTupleProbabilities(
     const std::string& name, ApproximateOptions options) {
   SyncShardOptions();
-  return ApproximateImpl(PartsOfTable(name), PlacementOf(name), options);
+  std::vector<PartRef> parts = PartsOfTable(name);
+  return ApproximateImpl(parts, MergeByVar(parts), options);
 }
 
 Distribution ShardedDatabase::ConditionalAggregateDistribution(
@@ -486,7 +461,7 @@ size_t ShardedDatabase::InsertTuple(const std::string& table,
   // which is all replay needs (the key column was recorded at load time).
   VarId x = static_cast<VarId>(variables().size());
   size_t global_row = coordinator_.InsertTuple(table, cells, p);
-  RouteAppendedRow(table, key_it->second, cells, x, global_row);
+  RouteAppendedRow(table, key_it->second, cells, x);
   return global_row;
 }
 
@@ -499,65 +474,56 @@ size_t ShardedDatabase::AppendRowToTable(const std::string& table,
                 "row is missing its key cell");
   PVC_CHECK_MSG(var < variables().size(),
                 "unknown variable id " << var);
+  CheckAppendedVar(table, coordinator_.pool(), coordinator_.table(table),
+                   var);
   size_t global_row = coordinator_.AppendRowToTable(
       table, cells, coordinator_.pool().Var(var));
-  RouteAppendedRow(table, key_it->second, cells, var, global_row);
+  RouteAppendedRow(table, key_it->second, cells, var);
   return global_row;
 }
 
 void ShardedDatabase::RouteAppendedRow(const std::string& table,
                                        size_t key_index,
                                        const std::vector<Cell>& cells,
-                                       VarId var, size_t global_row) {
-  // Route the row to its shard, exactly as the load would.
+                                       VarId var) {
+  // Route the row to its shard, exactly as the load would. Its variable
+  // is the largest the table holds, so every part stays ascending.
   size_t s = router_->Route(cells[key_index], shards_.size());
-  size_t shard_row = shards_[s]->table(table).NumRows();
   ExprId shard_annotation = shards_[s]->pool().Var(var);
   shards_[s]->AppendRowToTable(table, cells, shard_annotation);
-  placements_[table].emplace_back(static_cast<uint32_t>(s),
-                                  static_cast<uint32_t>(shard_row));
-
-  // Keep the cached provenance-extended partition consistent (appends
-  // carry the maximal global id, so in-place extension preserves order).
-  auto aug = augmented_cache_.find(table);
-  if (aug != augmented_cache_.end()) {
-    std::vector<Cell> extended = cells;
-    extended.emplace_back(static_cast<int64_t>(global_row));
-    aug->second[s].AddRow(std::move(extended), shard_annotation);
-  }
-
   for (auto& view : sharded_views_) {
     if (view->driving == table) {
-      ApplyShardedViewInsert(view.get(), s, global_row, cells,
-                             shard_annotation);
+      ApplyShardedViewInsert(view.get(), s, cells, shard_annotation);
     }
   }
 }
 
 void ShardedDatabase::DeleteRowAt(const std::string& table,
                                   size_t row_index) {
-  auto it = placements_.find(table);
-  PVC_CHECK_MSG(it != placements_.end(),
+  auto key_it = key_columns_.find(table);
+  PVC_CHECK_MSG(key_it != key_columns_.end(),
                 "no sharded table named '" << table << "'");
-  std::vector<std::pair<uint32_t, uint32_t>>& placement = it->second;
-  PVC_CHECK_MSG(row_index < placement.size(),
+  const PvcTable& logical = coordinator_.table(table);
+  PVC_CHECK_MSG(row_index < logical.NumRows(),
                 "row index " << row_index << " out of range");
-  auto [s, shard_row] = placement[row_index];
+  const Row& row = logical.row(row_index);
+  size_t s = router_->Route(row.cells[key_it->second], shards_.size());
+  VarId var = RowVar(coordinator_.pool(), row.annotation);
+  std::optional<size_t> shard_row =
+      FindRowByVar(shards_[s]->pool(), shards_[s]->table(table), var);
+  PVC_CHECK_MSG(shard_row.has_value(),
+                "shard " << s << " holds no row of '" << table
+                         << "' with variable " << var);
 
   coordinator_.DeleteRowAt(table, row_index);
   // Shard engines have no views of their own; this only drops the row.
-  shards_[s]->DeleteRowAt(table, shard_row);
-  placement.erase(placement.begin() + row_index);
-  for (auto& [ps, pr] : placement) {
-    if (ps == s && pr > shard_row) --pr;
-  }
-  // Global row ids above the deleted row shift; the provenance-extended
-  // partitions are rebuilt from the placement on next use.
-  augmented_cache_.erase(table);
-
+  shards_[s]->DeleteRowAt(table, *shard_row);
   for (auto& view : sharded_views_) {
-    if (view->driving == table) {
-      ApplyShardedViewDelete(view.get(), row_index);
+    if (view->driving != table) continue;
+    std::vector<PvcTable>& parts = view->parts;
+    if (std::optional<size_t> r =
+            FindRowByVar(shards_[s]->pool(), parts[s], var)) {
+      parts[s].DeleteRow(*r);
     }
   }
 }
@@ -594,11 +560,7 @@ ShardedDatabase::ShardedView* ShardedDatabase::FindShardedView(
 
 void ShardedDatabase::SeedShardedView(ShardedView* view) {
   SyncShardOptions();
-  DistributedParts parts = EvalDistributed(*view->query, view->driving);
-  view->schema = std::move(parts.schema);
-  view->parts = std::move(parts.parts);
-  view->global = std::move(parts.global);
-  view->order = std::move(parts.order);
+  view->parts = EvalDistributed(*view->query);
   view->caches.clear();
   view->caches.resize(shards_.size());
 }
@@ -608,9 +570,7 @@ void ShardedDatabase::RegisterView(const std::string& name, QueryPtr query) {
   // any existing view of the name: a failing registration leaves the old
   // view (sharded or coordinator) untouched.
   std::optional<std::string> driving = ShardDrivingTable(*query);
-  if (driving.has_value() && placements_.count(*driving) > 0 &&
-      !coordinator_.table(*driving).schema().Find(kRowIdColumn).has_value() &&
-      !QueryMentionsColumn(*query, kRowIdColumn)) {
+  if (driving.has_value() && key_columns_.count(*driving) > 0) {
     auto view = std::make_unique<ShardedView>();
     view->name = name;
     view->query = query;
@@ -689,74 +649,30 @@ std::vector<std::pair<std::string, QueryPtr>> ShardedDatabase::ViewCatalog()
 }
 
 void ShardedDatabase::ApplyShardedViewInsert(
-    ShardedView* view, size_t shard, size_t global_row,
-    const std::vector<Cell>& cells, ExprId shard_annotation) {
-  // Evaluate the chain on the delta row alone, against its
-  // provenance-extended schema in the owning shard's pool -- the same
-  // per-row pipeline as unsharded chain views (EvalChainOnSingleRow) and
-  // the distributed scatter (chains over base partitions intern nothing,
-  // so the shard pool is undisturbed when the row is filtered out).
-  const PvcTable& partition = shards_[shard]->table(view->driving);
-  std::vector<Column> columns = partition.schema().columns();
-  columns.push_back({kRowIdColumn, CellType::kInt});
-  Schema augmented{std::move(columns)};
+    ShardedView* view, size_t shard, const std::vector<Cell>& cells,
+    ExprId shard_annotation) {
+  // Evaluate the chain on the delta row alone in the owning shard's pool --
+  // the same per-row pipeline as unsharded chain views
+  // (EvalChainOnSingleRow) and the distributed scatter (chains over base
+  // partitions intern nothing, so the shard pool is undisturbed when the
+  // row is filtered out). The row carries the table's largest variable,
+  // so appending keeps the part ascending.
   Row delta_row;
   delta_row.cells = cells;
-  delta_row.cells.emplace_back(static_cast<int64_t>(global_row));
   delta_row.annotation = shard_annotation;
   std::optional<Row> out = EvalChainOnSingleRow(
-      &shards_[shard]->pool(), *view->query, view->driving, augmented,
-      delta_row, coordinator_.eval_options());
-  if (!out.has_value()) return;
-
-  // Strip the provenance cell like the distributed gather does: the
-  // rowid column sits right after the base columns (selects preserve
-  // column order, renames only append), i.e. at the base arity.
-  size_t rowid_index = partition.schema().NumColumns();
-  PVC_CHECK_MSG(out->cells.size() == view->schema.NumColumns() + 1,
-                "chain output arity does not match the view schema");
-  out->cells.erase(out->cells.begin() + rowid_index);
-  // The delta row has the maximal global id: append everywhere.
-  view->order.emplace_back(
-      static_cast<uint32_t>(shard),
-      static_cast<uint32_t>(view->parts[shard].NumRows()));
-  view->parts[shard].AddRow(std::move(*out));
-  view->global[shard].push_back(static_cast<int64_t>(global_row));
-}
-
-void ShardedDatabase::ApplyShardedViewDelete(ShardedView* view,
-                                             size_t global_row) {
-  int64_t g = static_cast<int64_t>(global_row);
-  // The order is ascending in global id; find the derived row, if any.
-  auto pos = std::lower_bound(
-      view->order.begin(), view->order.end(), g,
-      [&](const std::pair<uint32_t, uint32_t>& entry, int64_t value) {
-        return view->global[entry.first][entry.second] < value;
-      });
-  if (pos != view->order.end() &&
-      view->global[pos->first][pos->second] == g) {
-    auto [s, r] = *pos;
-    view->parts[s].DeleteRow(r);
-    view->global[s].erase(view->global[s].begin() + r);
-    view->order.erase(pos);
-    for (auto& [os, orow] : view->order) {
-      if (os == s && orow > r) --orow;
-    }
-  }
-  // Later driving rows shifted down by one.
-  for (std::vector<int64_t>& ids : view->global) {
-    for (int64_t& id : ids) {
-      if (id > g) --id;
-    }
-  }
+      &shards_[shard]->pool(), *view->query, view->driving,
+      shards_[shard]->table(view->driving).schema(), delta_row,
+      coordinator_.eval_options());
+  if (out.has_value()) view->parts[shard].AddRow(std::move(*out));
 }
 
 ShardedResult ShardedDatabase::ViewResult(const std::string& name) {
   if (ShardedView* view = FindShardedView(name)) {
     ShardedResult result;
-    result.schema_ = view->schema;
+    result.schema_ = view->parts[0].schema();
     result.parts_ = view->parts;
-    result.order_ = view->order;
+    result.order_ = MergeByVar(ShardParts(view->parts));
     result.distributed_ = true;
     return result;
   }
@@ -779,9 +695,11 @@ std::vector<double> ShardedDatabase::ViewProbabilities(
         shards_[s]->pool(), variables(), view->parts[s], options,
         eval_options);
   }
+  std::vector<std::pair<uint32_t, uint32_t>> order =
+      MergeByVar(ShardParts(view->parts));
   std::vector<double> out;
-  out.reserve(view->order.size());
-  for (const auto& [s, r] : view->order) {
+  out.reserve(order.size());
+  for (const auto& [s, r] : order) {
     out.push_back(per_shard[s][r]);
   }
   return out;
@@ -793,8 +711,8 @@ std::vector<ShardedDatabase::ViewInfo> ShardedDatabase::ViewInfos() {
     ViewInfo info;
     info.name = view->name;
     info.plan = "chain (per shard)";
-    info.rows = view->order.size();
     for (size_t s = 0; s < view->caches.size(); ++s) {
+      info.rows += view->parts[s].NumRows();
       info.cache_entries += view->caches[s].LiveEntries(view->parts[s]);
     }
     infos.push_back(std::move(info));

@@ -13,12 +13,17 @@
 //  - Tables are hash-partitioned on a key column through a pluggable
 //    ShardRouter (default: FNV-1a on the primary key, the table's first
 //    column). Partitions preserve global row order within each shard.
+//  - A row's identity is the variable that annotates it. Every row of a
+//    sharded table has its own variable, created in global row order and
+//    never renumbered, so each table and each partition is strictly
+//    ascending by variable, and merging partitions on the variable gives
+//    the unsharded row order (RowVar, MergeByVar below). Loads and appends
+//    that would break the order throw CheckError.
 //  - A coordinator Database holds the gathered logical tables and replays
 //    exactly the load/interning sequence of an unsharded engine. This is a
-//    deliberate trade-off: keeping a full coordinator copy (2x memory;
-//    up to 3x for tables serving distributed plans, whose
-//    provenance-extended partitions are cached) is what makes cross-shard
-//    operators bit-identical to the unsharded engine. Out-of-process shards and a copy-free coordinator require
+//    deliberate trade-off: keeping a full coordinator copy (2x memory) is
+//    what makes cross-shard operators bit-identical to the unsharded
+//    engine. Out-of-process shards and a copy-free coordinator require
 //    relaxing bitwise identity to epsilon agreement for cross-shard
 //    merges -- the ROADMAP names that as the follow-up.
 //
@@ -27,9 +32,9 @@
 //
 //  - Step I scatter: Select/Rename chains over one sharded table (the
 //    fragment of ShardDrivingTable) evaluate per shard against that
-//    shard's partition -- annotations pass through these operators
-//    untouched, so shard-local evaluation plus a deterministic merge on
-//    driving-row order reproduces the unsharded result exactly. All other
+//    shard's partition, read in place -- annotations pass through these
+//    operators untouched, so shard-local evaluation plus a merge on the
+//    rows' variables reproduces the unsharded result exactly. All other
 //    queries (joins, projections, unions, aggregates merge rows across
 //    partitions) gather to the coordinator, whose pool state matches the
 //    unsharded engine's bit for bit.
@@ -37,7 +42,7 @@
 //    PR 2's ThreadPool; each row clones its annotation from the pool of
 //    the engine that produced it into a task-private ExprPool and runs the
 //    identical compile + probability pipeline, and the gather writes
-//    results in global row order (shard-index order within each table).
+//    results in global row order.
 
 #ifndef PVCDB_ENGINE_SHARD_H_
 #define PVCDB_ENGINE_SHARD_H_
@@ -45,6 +50,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,12 +59,28 @@
 
 namespace pvcdb {
 
-/// Hidden provenance column carried through distributed step I plans so the
-/// gather can merge per-shard results back into global row order. Queries
-/// mentioning this name fall back to the coordinator. Shared with the
-/// out-of-process worker (src/engine/shard_worker.h), which must augment
-/// its partitions with the identical column name.
-extern const char kShardRowIdColumn[];
+/// The identity of a row of a sharded table, or of a chain over one: the
+/// variable annotating it (see the file comment). Shared with the
+/// out-of-process engines (src/engine/coordinator.h,
+/// src/engine/shard_worker.h). Throws CheckError when `annotation` is not a
+/// single variable.
+VarId RowVar(const ExprPool& pool, ExprId annotation);
+
+/// Index of the row of `table` annotated by `var`, or nullopt when no row
+/// is. `table` must be ascending by RowVar (binary search).
+std::optional<size_t> FindRowByVar(const ExprPool& pool, const PvcTable& table,
+                                   VarId var);
+
+/// Throws CheckError unless `vars` is strictly increasing: the row order a
+/// sharded table `table` must keep.
+void CheckVarsAscending(const std::string& table,
+                        const std::vector<VarId>& vars);
+
+/// Throws CheckError unless `var` exceeds the variable of every row of
+/// `rows` (ascending by RowVar in `pool`), i.e. may annotate a row appended
+/// to the sharded table `table`.
+void CheckAppendedVar(const std::string& table, const ExprPool& pool,
+                      const PvcTable& rows, VarId var);
 
 /// Routing policy: which shard owns a row, given its key cell. Routes must
 /// be pure functions of (key, num_shards) -- placement is recomputed on
@@ -173,7 +195,8 @@ class ShardedDatabase {
 
   /// Rebuild / replication hook mirroring
   /// Database::AddVariableAnnotatedTable: rows annotated by *existing*
-  /// variables of the shared registry, routed by `key_column`.
+  /// variables of the shared registry, routed by `key_column`. `vars` must
+  /// be strictly increasing (CheckError otherwise, with nothing changed).
   void AddVariableAnnotatedTable(const std::string& name, Schema schema,
                                  std::vector<std::vector<Cell>> rows,
                                  const std::vector<VarId>& vars,
@@ -194,10 +217,10 @@ class ShardedDatabase {
   //
   // Deltas route through the ShardRouter exactly like the initial load:
   // the coordinator replays the unsharded mutation (shared variable
-  // creation in global row order, coordinator view maintenance), the
-  // owning shard's partition and the placement map stay consistent, and
-  // per-shard views absorb the delta locally. All results remain
-  // bit-identical to a from-scratch sharded rebuild of the final state.
+  // creation in global row order, coordinator view maintenance), only the
+  // owning shard's partition changes, and per-shard views absorb the delta
+  // locally. All results remain bit-identical to a from-scratch sharded
+  // rebuild of the final state.
 
   /// Appends a tuple with a fresh Bernoulli variable; the row is routed by
   /// its key-column cell. Returns the new global row index.
@@ -206,12 +229,14 @@ class ShardedDatabase {
 
   /// Replay hook mirroring Database::AppendRowToTable: appends a row
   /// annotated with the *existing* shared variable `var`, routed exactly
-  /// like InsertTuple. Never writes to the WAL (it is what WAL replay
-  /// calls).
+  /// like InsertTuple. `var` must exceed the variable of every row of the
+  /// table (CheckError otherwise, with nothing changed). Never writes to
+  /// the WAL (it is what WAL replay calls).
   size_t AppendRowToTable(const std::string& table, std::vector<Cell> cells,
                           VarId var);
 
-  /// Removes the row at global index `row_index`.
+  /// Removes the row at global index `row_index`: the coordinator's row,
+  /// and the owning shard's row with the same variable.
   void DeleteRowAt(const std::string& table, size_t row_index);
 
   /// Removes every row whose first-column cell equals `key`; returns the
@@ -309,66 +334,52 @@ class ShardedDatabase {
   };
 
   /// A per-shard materialized view of the distributable fragment: the
-  /// shard partitions of the result, their global row provenance, and one
-  /// step II cache per shard (annotation ids are pool-local).
+  /// shard parts of the result (each ascending by RowVar) and one step II
+  /// cache per shard (annotation ids are pool-local).
   struct ShardedView {
     std::string name;
     QueryPtr query;
     std::string driving;  ///< The sharded base table the chain scans.
-    Schema schema;        ///< Output schema (provenance column stripped).
     std::vector<PvcTable> parts;
-    /// Per shard: the global driving-row index of each part row
-    /// (ascending).
-    std::vector<std::vector<int64_t>> global;
-    /// Global row order: (shard, row within the shard's part), ascending
-    /// by global driving-row index.
-    std::vector<std::pair<uint32_t, uint32_t>> order;
     std::vector<StepTwoCache> caches;  ///< One per shard.
   };
 
   /// The distributed step I evaluation shared by Run() and the per-shard
-  /// view seed: per-shard results of the chain with global provenance.
-  struct DistributedParts {
-    Schema schema;
-    std::vector<PvcTable> parts;
-    std::vector<std::vector<int64_t>> global;
-    std::vector<std::pair<uint32_t, uint32_t>> order;
-  };
-  DistributedParts EvalDistributed(const Query& q, const std::string& table);
+  /// view seed: the chain evaluated on every shard's partition in place.
+  std::vector<PvcTable> EvalDistributed(const Query& q);
 
   /// Partitions the coordinator's freshly (re)loaded `name` across the
   /// shards (each row annotated by `vars[i]` re-interned into its shard's
-  /// pool) and refreshes placement, key column and dependent caches.
+  /// pool) and refreshes the key column and dependent views.
   void PartitionLoadedTable(const std::string& name, size_t key_index,
                             const std::vector<VarId>& vars);
 
-  /// The routing + bookkeeping tail shared by InsertTuple and
-  /// AppendRowToTable: sends the already-appended coordinator row to its
-  /// shard and updates placement, caches and per-shard views.
+  /// The routing tail shared by InsertTuple and AppendRowToTable: sends
+  /// the already-appended coordinator row to its shard and its per-shard
+  /// views.
   void RouteAppendedRow(const std::string& table, size_t key_index,
-                        const std::vector<Cell>& cells, VarId var,
-                        size_t global_row);
+                        const std::vector<Cell>& cells, VarId var);
 
   ShardedView* FindShardedView(const std::string& name);
   /// Builds / rebuilds `view`'s cached parts from the current partitions.
   void SeedShardedView(ShardedView* view);
   void ApplyShardedViewInsert(ShardedView* view, size_t shard,
-                              size_t global_row, const std::vector<Cell>& cells,
+                              const std::vector<Cell>& cells,
                               ExprId shard_annotation);
-  void ApplyShardedViewDelete(ShardedView* view, size_t global_row);
 
+  /// `parts[s]` read through shard `s`'s pool (distributed results and
+  /// per-shard views).
+  std::vector<PartRef> ShardParts(const std::vector<PvcTable>& parts) const;
   std::vector<PartRef> PartsOf(const ShardedResult& result) const;
   std::vector<PartRef> PartsOfTable(const std::string& name) const;
-  const std::vector<std::pair<uint32_t, uint32_t>>& PlacementOf(
-      const std::string& name) const;
+
+  /// Global row order of per-shard parts: the merge of their rows on
+  /// RowVar.
+  static std::vector<std::pair<uint32_t, uint32_t>> MergeByVar(
+      const std::vector<PartRef>& parts);
 
   ShardedResult CoordinatorResult(PvcTable table) const;
-  ShardedResult RunDistributed(const Query& q, const std::string& table);
-
-  /// The table's partitions extended with the hidden provenance column,
-  /// built on first use and cached until the table is replaced.
-  const std::vector<PvcTable>& AugmentedPartitionsOf(
-      const std::string& table);
+  ShardedResult RunDistributed(const Query& q);
 
   /// Copies the engine-wide knobs onto every shard (serial; called before
   /// each scatter so option mutations through eval_options() take effect
@@ -386,14 +397,9 @@ class ShardedDatabase {
   std::unique_ptr<ShardRouter> router_;
   Database coordinator_;
   std::vector<std::unique_ptr<Database>> shards_;
-  /// Per table: global row -> (shard, row within the shard's partition).
-  std::map<std::string, std::vector<std::pair<uint32_t, uint32_t>>>
-      placements_;
-  /// Per table: the key column rows are routed by (insert deltas must use
+  /// Per sharded table: the key column rows are routed by (deltas must use
   /// the load-time routing).
   std::map<std::string, size_t> key_columns_;
-  /// Per table: partitions + provenance column for distributed plans.
-  std::map<std::string, std::vector<PvcTable>> augmented_cache_;
   /// Per-shard views of the distributable fragment, registration order.
   std::vector<std::unique_ptr<ShardedView>> sharded_views_;
 };

@@ -1,7 +1,7 @@
 #include "src/engine/shard_worker.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "src/engine/shard.h"
@@ -49,7 +49,6 @@ uint32_t ShardWorker::NextChain(uint32_t chain, MsgKind kind,
 
 void ShardWorker::ResetState() {
   db_ = std::make_unique<Database>(semiring_);
-  tables_.clear();
   views_.clear();
   lsn_ = 0;
   chain_ = 0;
@@ -60,12 +59,11 @@ bool ShardWorker::MatchesHello(const HelloMsg& hello) const {
          hello.num_shards == num_shards_;
 }
 
-ShardWorker::TableState& ShardWorker::StateOf(const std::string& table) {
-  auto it = tables_.find(table);
-  PVC_CHECK_MSG(it != tables_.end(),
-                "worker " << shard_index_ << " has no partition of '"
-                          << table << "'");
-  return it->second;
+const PvcTable& ShardWorker::Partition(const std::string& table) const {
+  PVC_CHECK_MSG(db_->HasTable(table), "worker " << shard_index_
+                                                << " has no partition of '"
+                                                << table << "'");
+  return db_->table(table);
 }
 
 void ShardWorker::HandleSyncVars(const SyncVarsMsg& msg) {
@@ -96,171 +94,90 @@ void ShardWorker::HandleUpdateVar(const UpdateVarMsg& msg) {
 }
 
 uint64_t ShardWorker::HandleLoadPartition(const LoadPartitionMsg& msg) {
-  PVC_CHECK_MSG(msg.rows.size() == msg.vars.size() &&
-                    msg.rows.size() == msg.global_rows.size(),
-                "partition rows/vars/global_rows disagree");
+  PVC_CHECK_MSG(msg.rows.size() == msg.vars.size(),
+                "partition rows/vars disagree");
+  // Everything is checked before anything changes: a refused load leaves
+  // the worker as it was.
+  CheckVarsAscending(msg.table, msg.vars);
+  PVC_CHECK_MSG(msg.vars.empty() || msg.vars.back() < db_->variables().size(),
+                "partition row references unsynced variable "
+                    << msg.vars.back());
   // Mirror PartitionLoadedTable's shard half: re-intern each row's shared
   // variable into this worker's pool.
   PvcTable part{msg.schema};
   for (size_t i = 0; i < msg.rows.size(); ++i) {
-    PVC_CHECK_MSG(msg.vars[i] < db_->variables().size(),
-                  "partition row references unsynced variable "
-                      << msg.vars[i]);
     part.AddRow(msg.rows[i], db_->pool().Var(msg.vars[i]));
   }
   db_->AddTable(msg.table, std::move(part));
-  TableState& state = tables_[msg.table];
-  state.global.assign(msg.global_rows.begin(), msg.global_rows.end());
-  state.augmented_valid = false;
   for (auto& view : views_) {
-    if (view->driving == msg.table) SeedView(view.get());
+    if (view->driving != msg.table) continue;
+    view->part = db_->Run(*view->query);
+    view->cache.Clear();
   }
   return msg.rows.size();
 }
 
 void ShardWorker::HandleAppendRow(const AppendRowMsg& msg) {
-  TableState& state = StateOf(msg.table);
+  const PvcTable& partition = Partition(msg.table);
   PVC_CHECK_MSG(msg.var < db_->variables().size(),
                 "append references unsynced variable " << msg.var);
+  CheckAppendedVar(msg.table, db_->pool(), partition, msg.var);
   ExprId annotation = db_->pool().Var(msg.var);
   db_->AppendRowToTable(msg.table, msg.cells, annotation);
-  state.global.push_back(static_cast<int64_t>(msg.global_row));
-  // Appends carry the maximal global id, so the cached provenance-extended
-  // partition extends in place (same as RouteAppendedRow).
-  if (state.augmented_valid) {
-    std::vector<Cell> extended = msg.cells;
-    extended.emplace_back(static_cast<int64_t>(msg.global_row));
-    state.augmented.AddRow(std::move(extended), annotation);
-  }
+  // The delta-row pipeline of ShardedDatabase::ApplyShardedViewInsert.
   for (auto& view : views_) {
-    if (view->driving == msg.table) {
-      ApplyViewInsert(view.get(), static_cast<int64_t>(msg.global_row),
-                      msg.cells, annotation);
-    }
+    if (view->driving != msg.table) continue;
+    Row delta_row;
+    delta_row.cells = msg.cells;
+    delta_row.annotation = annotation;
+    std::optional<Row> out =
+        EvalChainOnSingleRow(&db_->pool(), *view->query, view->driving,
+                             partition.schema(), delta_row,
+                             db_->eval_options());
+    if (out.has_value()) view->part.AddRow(std::move(*out));
   }
 }
 
 void ShardWorker::HandleDeleteRow(const DeleteRowMsg& msg) {
-  TableState& state = StateOf(msg.table);
-  int64_t g = static_cast<int64_t>(msg.global_row);
-  if (msg.has_local_row) {
-    PVC_CHECK_MSG(msg.local_row < state.global.size(),
-                  "delete of out-of-range local row " << msg.local_row);
-    PVC_CHECK_MSG(state.global[msg.local_row] == g,
-                  "delete provenance mismatch at local row "
-                      << msg.local_row);
-    db_->DeleteRowAt(msg.table, msg.local_row);
-    state.global.erase(state.global.begin() +
-                       static_cast<ptrdiff_t>(msg.local_row));
-  }
-  // Every worker shifts ids above the deleted global row -- the broadcast
-  // half of ShardedDatabase::DeleteRowAt.
-  for (int64_t& id : state.global) {
-    if (id > g) --id;
-  }
-  state.augmented_valid = false;
+  // This shard's half of ShardedDatabase::DeleteRowAt: only the owner
+  // receives the delete, and no other row's identity changes.
+  std::optional<size_t> row =
+      FindRowByVar(db_->pool(), Partition(msg.table), msg.var);
+  PVC_CHECK_MSG(row.has_value(), "worker " << shard_index_
+                                           << " holds no row of '"
+                                           << msg.table << "' with variable "
+                                           << msg.var);
+  db_->DeleteRowAt(msg.table, *row);
   for (auto& view : views_) {
-    if (view->driving == msg.table) ApplyViewDelete(view.get(), g);
+    if (view->driving != msg.table) continue;
+    if (std::optional<size_t> r =
+            FindRowByVar(db_->pool(), view->part, msg.var)) {
+      view->part.DeleteRow(*r);
+    }
   }
-}
-
-const PvcTable& ShardWorker::AugmentedPartition(const std::string& table) {
-  TableState& state = StateOf(table);
-  if (state.augmented_valid) return state.augmented;
-  const PvcTable& partition = db_->table(table);
-  PVC_CHECK_MSG(partition.NumRows() == state.global.size(),
-                "partition and provenance sizes disagree for '" << table
-                                                                << "'");
-  std::vector<Column> columns = partition.schema().columns();
-  columns.push_back({kShardRowIdColumn, CellType::kInt});
-  PvcTable augmented{Schema(std::move(columns))};
-  for (size_t j = 0; j < partition.NumRows(); ++j) {
-    std::vector<Cell> cells = partition.row(j).cells;
-    cells.emplace_back(state.global[j]);
-    augmented.AddRow(std::move(cells), partition.row(j).annotation);
-  }
-  state.augmented = std::move(augmented);
-  state.augmented_valid = true;
-  return state.augmented;
-}
-
-void ShardWorker::EvalChainParts(const Query& q, const std::string& table,
-                                 Schema* schema, PvcTable* part,
-                                 std::vector<int64_t>* global) {
-  const PvcTable& augmented = AugmentedPartition(table);
-  QueryEvaluator evaluator(
-      &db_->pool(),
-      [&](const std::string& name) -> const PvcTable& {
-        if (name == table) return augmented;
-        return db_->table(name);
-      },
-      EvalMode::kProbabilistic, db_->eval_options());
-  PvcTable result = [&] {
-    PVCDB_SPAN(step1_span, "step1");
-    return evaluator.Eval(q);
-  }();
-
-  size_t rowid_index = result.schema().IndexOf(kShardRowIdColumn);
-  std::vector<Column> out_columns = result.schema().columns();
-  out_columns.erase(out_columns.begin() + static_cast<ptrdiff_t>(rowid_index));
-  *schema = Schema{std::move(out_columns)};
-  PvcTable stripped{*schema};
-  global->clear();
-  for (size_t j = 0; j < result.NumRows(); ++j) {
-    const Row& r = result.row(j);
-    global->push_back(r.cells[rowid_index].AsInt());
-    std::vector<Cell> cells = r.cells;
-    cells.erase(cells.begin() + static_cast<ptrdiff_t>(rowid_index));
-    stripped.AddRow(std::move(cells), r.annotation);
-  }
-  *part = std::move(stripped);
 }
 
 ChainResultMsg ShardWorker::HandleEvalChain(const EvalChainMsg& msg) {
-  Schema schema;
-  PvcTable part{Schema{}};
-  std::vector<int64_t> global;
-  EvalChainParts(*msg.query, msg.table, &schema, &part, &global);
+  // The scatter half of EvalDistributed for this one shard: the chain over
+  // the partition, read in place.
+  Partition(msg.table);
+  PvcTable part = db_->Run(*msg.query);
 
   // Step II per surviving row: the shared pipeline, so the probability is
   // independent of this worker's pool history (bit-identity with the
   // in-process scatter).
   VariableTable::EvalScope scope(db_->variables());
   ChainResultMsg reply;
-  reply.schema = schema;
+  reply.schema = part.schema();
   reply.rows.reserve(part.NumRows());
   const CompileOptions& compile_options = db_->compile_options();
   for (size_t j = 0; j < part.NumRows(); ++j) {
     const Row& r = part.row(j);
-    const ExprNode& node = db_->pool().node(r.annotation);
-    PVC_CHECK_MSG(node.kind == ExprKind::kVar,
-                  "distributable chain produced a non-variable annotation");
     ChainRow row;
-    row.global_row = static_cast<uint64_t>(global[j]);
     row.cells = r.cells;
-    row.var = node.var();
+    row.var = RowVar(db_->pool(), r.annotation);
     Distribution d = IsolatedAnnotationDistribution(
         db_->pool(), db_->variables(), r.annotation, compile_options);
-    row.probability = NonZeroMass(d);
-    if (msg.want_distributions) row.distribution = std::move(d);
-    reply.rows.push_back(std::move(row));
-  }
-  return reply;
-}
-
-ProbsResultMsg ShardWorker::HandleTableProbs(const TableProbsMsg& msg) {
-  TableState& state = StateOf(msg.table);
-  const PvcTable& partition = db_->table(msg.table);
-  VariableTable::EvalScope scope(db_->variables());
-  ProbsResultMsg reply;
-  reply.rows.reserve(partition.NumRows());
-  const CompileOptions& compile_options = db_->compile_options();
-  for (size_t j = 0; j < partition.NumRows(); ++j) {
-    ProbRow row;
-    row.global_row = static_cast<uint64_t>(state.global[j]);
-    Distribution d = IsolatedAnnotationDistribution(
-        db_->pool(), db_->variables(), partition.row(j).annotation,
-        compile_options);
     row.probability = NonZeroMass(d);
     if (msg.want_distributions) row.distribution = std::move(d);
     reply.rows.push_back(std::move(row));
@@ -275,18 +192,12 @@ ShardWorker::WorkerView* ShardWorker::FindView(const std::string& name) {
   return nullptr;
 }
 
-void ShardWorker::SeedView(WorkerView* view) {
-  EvalChainParts(*view->query, view->driving, &view->schema, &view->part,
-                 &view->global);
-  view->cache.Clear();
-}
-
 uint64_t ShardWorker::HandleRegisterChainView(RegisterChainViewMsg msg) {
   auto view = std::make_unique<WorkerView>();
   view->name = msg.name;
   view->driving = msg.table;
   view->query = std::move(msg.query);
-  SeedView(view.get());
+  view->part = db_->Run(*view->query);
   uint64_t rows = view->part.NumRows();
   // Build-then-replace, like ShardedDatabase::RegisterView: a failed seed
   // above leaves any existing view of the name untouched.
@@ -300,45 +211,6 @@ uint64_t ShardWorker::HandleRegisterChainView(RegisterChainViewMsg msg) {
   return rows;
 }
 
-void ShardWorker::ApplyViewInsert(WorkerView* view, int64_t global_row,
-                                  const std::vector<Cell>& cells,
-                                  ExprId annotation) {
-  // The delta-row pipeline of ShardedDatabase::ApplyShardedViewInsert.
-  const PvcTable& partition = db_->table(view->driving);
-  std::vector<Column> columns = partition.schema().columns();
-  columns.push_back({kShardRowIdColumn, CellType::kInt});
-  Schema augmented{std::move(columns)};
-  Row delta_row;
-  delta_row.cells = cells;
-  delta_row.cells.emplace_back(global_row);
-  delta_row.annotation = annotation;
-  std::optional<Row> out =
-      EvalChainOnSingleRow(&db_->pool(), *view->query, view->driving,
-                           augmented, delta_row, db_->eval_options());
-  if (!out.has_value()) return;
-  size_t rowid_index = partition.schema().NumColumns();
-  PVC_CHECK_MSG(out->cells.size() == view->schema.NumColumns() + 1,
-                "chain output arity does not match the view schema");
-  out->cells.erase(out->cells.begin() + static_cast<ptrdiff_t>(rowid_index));
-  view->part.AddRow(std::move(*out));
-  view->global.push_back(global_row);
-}
-
-void ShardWorker::ApplyViewDelete(WorkerView* view, int64_t global_row) {
-  // This shard's half of ApplyShardedViewDelete: drop the derived row if
-  // this partition holds it, then shift later driving-row ids.
-  auto pos = std::lower_bound(view->global.begin(), view->global.end(),
-                              global_row);
-  if (pos != view->global.end() && *pos == global_row) {
-    size_t r = static_cast<size_t>(pos - view->global.begin());
-    view->part.DeleteRow(r);
-    view->global.erase(pos);
-  }
-  for (int64_t& id : view->global) {
-    if (id > global_row) --id;
-  }
-}
-
 ChainResultMsg ShardWorker::HandleViewProbs(const std::string& name) {
   WorkerView* view = FindView(name);
   PVC_CHECK_MSG(view != nullptr,
@@ -349,15 +221,13 @@ ChainResultMsg ShardWorker::HandleViewProbs(const std::string& name) {
       view->cache.Probabilities(db_->pool(), db_->variables(), view->part,
                                 db_->compile_options(), db_->eval_options());
   ChainResultMsg reply;
-  reply.schema = view->schema;
+  reply.schema = view->part.schema();
   reply.rows.reserve(view->part.NumRows());
   for (size_t j = 0; j < view->part.NumRows(); ++j) {
     const Row& r = view->part.row(j);
-    const ExprNode& node = db_->pool().node(r.annotation);
     ChainRow row;
-    row.global_row = static_cast<uint64_t>(view->global[j]);
     row.cells = r.cells;
-    row.var = node.kind == ExprKind::kVar ? node.var() : 0;
+    row.var = RowVar(db_->pool(), r.annotation);
     row.probability = probs[j];
     reply.rows.push_back(std::move(row));
   }
@@ -442,13 +312,6 @@ bool ShardWorker::Handle(MsgKind kind, const std::string& payload,
         if (!EvalChainMsg::Decode(payload, &msg)) break;
         *reply_kind = MsgKind::kChainResult;
         *reply_payload = HandleEvalChain(msg).Encode();
-        return true;
-      }
-      case MsgKind::kTableProbs: {
-        TableProbsMsg msg;
-        if (!TableProbsMsg::Decode(payload, &msg)) break;
-        *reply_kind = MsgKind::kProbsResult;
-        *reply_payload = HandleTableProbs(msg).Encode();
         return true;
       }
       case MsgKind::kRegisterChainView: {

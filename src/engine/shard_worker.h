@@ -4,25 +4,28 @@
 //
 // A worker holds exactly the state an in-process shard holds -- a Database
 // with its partition tables (rows annotated by re-interned shared
-// variables), a replica of the shared VariableTable (replayed in Add order
-// through kSyncVars, so ids line up by construction), the
-// provenance-extended partitions of tables serving distributed plans, and
-// per-shard chain views with their step II caches. Every computation runs
-// the identical code paths the in-process shard runs:
+// variables, each partition ascending by variable: a row's variable is its
+// identity, see src/engine/shard.h), a replica of the shared VariableTable
+// (replayed in Add order through kSyncVars, so ids line up by
+// construction), and per-shard chain views with their step II caches.
+// Every computation runs the identical code paths the in-process shard
+// runs:
 //
 //  - kEvalChain mirrors ShardedDatabase::EvalDistributed's scatter half: a
-//    QueryEvaluator over the partition extended with the hidden
-//    kShardRowIdColumn, surviving rows reported with their global driving
-//    row, annotation variable, and a probability from
+//    QueryEvaluator over the partition read in place, surviving rows
+//    reported with their annotation variable and a probability from
 //    IsolatedAnnotationDistribution -- the single per-row step II pipeline
 //    both facades share, which clones into a task-private pool and is
 //    therefore independent of this worker's pool history. That is the
-//    whole bit-identity argument: the coordinator's merge of these rows
-//    equals the in-process scatter-gather bit for bit.
-//  - kAppendRow / kDeleteRow mirror RouteAppendedRow / DeleteRowAt
-//    (including the broadcast global-row shift on deletes), and chain
-//    views absorb deltas through the same EvalChainOnSingleRow pipeline as
-//    ShardedDatabase::ApplyShardedViewInsert.
+//    whole bit-identity argument: the coordinator's merge of these rows on
+//    the variable equals the in-process scatter-gather bit for bit.
+//  - kAppendRow / kDeleteRow mirror RouteAppendedRow / DeleteRowAt: only
+//    the owning worker receives them, a delete finds its row by binary
+//    search on the variable, and chain views absorb deltas through the
+//    same EvalChainOnSingleRow pipeline as
+//    ShardedDatabase::ApplyShardedViewInsert. A load or append whose
+//    variables are not ascending, or a delete of a variable the worker
+//    does not hold, is answered kError with nothing applied.
 //  - kViewProbs serves cached per-row view probabilities from a
 //    StepTwoCache exactly like ShardedDatabase::ViewProbabilities' per-
 //    shard passes, with kUpdateVar driving the same refresh-or-drop rule.
@@ -41,7 +44,6 @@
 #ifndef PVCDB_ENGINE_SHARD_WORKER_H_
 #define PVCDB_ENGINE_SHARD_WORKER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,21 +102,13 @@ class ShardWorker {
                             const std::string& payload);
 
  private:
-  struct TableState {
-    std::vector<int64_t> global;  ///< Global row id per local row.
-    bool augmented_valid = false;
-    PvcTable augmented{Schema{}};  ///< Partition + provenance column.
-  };
-
   /// Worker half of ShardedDatabase::ShardedView: this shard's partition
-  /// of a chain view's result.
+  /// of a chain view's result, ascending by variable.
   struct WorkerView {
     std::string name;
     std::string driving;
     QueryPtr query;
-    Schema schema;  ///< Output schema (provenance column stripped).
     PvcTable part{Schema{}};
-    std::vector<int64_t> global;
     StepTwoCache cache;
   };
 
@@ -124,30 +118,14 @@ class ShardWorker {
   void HandleAppendRow(const AppendRowMsg& msg);
   void HandleDeleteRow(const DeleteRowMsg& msg);
   ChainResultMsg HandleEvalChain(const EvalChainMsg& msg);
-  ProbsResultMsg HandleTableProbs(const TableProbsMsg& msg);
   uint64_t HandleRegisterChainView(RegisterChainViewMsg msg);
   ChainResultMsg HandleViewProbs(const std::string& name);
   ViewInfoMsg HandleViewInfo(const std::string& name);
 
-  /// The partition extended with kShardRowIdColumn (built lazily, kept
-  /// across queries, extended in place on appends, invalidated on deletes
-  /// and reloads -- mirroring ShardedDatabase::AugmentedPartitionsOf).
-  const PvcTable& AugmentedPartition(const std::string& table);
-
-  /// Evaluates the chain over the augmented partition and strips the
-  /// provenance column: the scatter half of EvalDistributed for this one
-  /// shard. Fills `schema`, `part`, `global`.
-  void EvalChainParts(const Query& q, const std::string& table,
-                      Schema* schema, PvcTable* part,
-                      std::vector<int64_t>* global);
-
   WorkerView* FindView(const std::string& name);
-  void SeedView(WorkerView* view);
-  void ApplyViewInsert(WorkerView* view, int64_t global_row,
-                       const std::vector<Cell>& cells, ExprId annotation);
-  void ApplyViewDelete(WorkerView* view, int64_t global_row);
 
-  TableState& StateOf(const std::string& table);
+  /// This worker's partition of sharded table `table`.
+  const PvcTable& Partition(const std::string& table) const;
 
   /// Drops every table, view, variable and the (lsn, chain) position:
   /// kReset, the precondition of a full resync.
@@ -161,7 +139,6 @@ class ShardWorker {
   SemiringKind semiring_ = SemiringKind::kBool;
   uint32_t shard_index_ = 0;
   uint32_t num_shards_ = 1;
-  std::map<std::string, TableState> tables_;
   std::vector<std::unique_ptr<WorkerView>> views_;
   uint64_t lsn_ = 0;
   uint32_t chain_ = 0;

@@ -91,7 +91,6 @@ std::string LoadPartitionMsg::Encode() const {
   for (size_t i = 0; i < rows.size(); ++i) {
     EncodeCells(&out, rows[i]);
     EncodeU32(&out, vars[i]);
-    EncodeU64(&out, global_rows[i]);
   }
   return out;
 }
@@ -106,14 +105,11 @@ bool LoadPartitionMsg::Decode(const std::string& payload,
   if (n > reader.remaining()) return false;
   out->rows.clear();
   out->vars.clear();
-  out->global_rows.clear();
   out->rows.reserve(n);
   out->vars.reserve(n);
-  out->global_rows.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     out->rows.push_back(DecodeCells(&reader));
     out->vars.push_back(reader.ReadU32());
-    out->global_rows.push_back(reader.ReadU64());
   }
   return reader.ok() && reader.AtEnd();
 }
@@ -123,7 +119,6 @@ std::string AppendRowMsg::Encode() const {
   EncodeString(&out, table);
   EncodeCells(&out, cells);
   EncodeU32(&out, var);
-  EncodeU64(&out, global_row);
   return out;
 }
 
@@ -132,27 +127,20 @@ bool AppendRowMsg::Decode(const std::string& payload, AppendRowMsg* out) {
   out->table = reader.ReadString();
   out->cells = DecodeCells(&reader);
   out->var = reader.ReadU32();
-  out->global_row = reader.ReadU64();
   return reader.ok() && reader.AtEnd();
 }
 
 std::string DeleteRowMsg::Encode() const {
   std::string out;
   EncodeString(&out, table);
-  EncodeU8(&out, has_local_row ? 1 : 0);
-  EncodeU64(&out, local_row);
-  EncodeU64(&out, global_row);
+  EncodeU32(&out, var);
   return out;
 }
 
 bool DeleteRowMsg::Decode(const std::string& payload, DeleteRowMsg* out) {
   ByteReader reader(payload);
   out->table = reader.ReadString();
-  uint8_t flag = reader.ReadU8();
-  if (flag > 1) return false;
-  out->has_local_row = flag == 1;
-  out->local_row = reader.ReadU64();
-  out->global_row = reader.ReadU64();
+  out->var = reader.ReadU32();
   return reader.ok() && reader.AtEnd();
 }
 
@@ -172,22 +160,6 @@ bool EvalChainMsg::Decode(const std::string& payload, EvalChainMsg* out) {
   out->want_distributions = flag == 1;
   out->query = DecodeQuery(&reader);
   return out->query != nullptr && reader.ok() && reader.AtEnd();
-}
-
-std::string TableProbsMsg::Encode() const {
-  std::string out;
-  EncodeString(&out, table);
-  EncodeU8(&out, want_distributions ? 1 : 0);
-  return out;
-}
-
-bool TableProbsMsg::Decode(const std::string& payload, TableProbsMsg* out) {
-  ByteReader reader(payload);
-  out->table = reader.ReadString();
-  uint8_t flag = reader.ReadU8();
-  if (flag > 1) return false;
-  out->want_distributions = flag == 1;
-  return reader.ok() && reader.AtEnd();
 }
 
 std::string RegisterChainViewMsg::Encode() const {
@@ -224,7 +196,6 @@ std::string ChainResultMsg::Encode() const {
   EncodeSchema(&out, schema);
   EncodeU64(&out, rows.size());
   for (const ChainRow& row : rows) {
-    EncodeU64(&out, row.global_row);
     EncodeCells(&out, row.cells);
     EncodeU32(&out, row.var);
     EncodeDouble(&out, row.probability);
@@ -242,36 +213,8 @@ bool ChainResultMsg::Decode(const std::string& payload, ChainResultMsg* out) {
   out->rows.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     ChainRow row;
-    row.global_row = reader.ReadU64();
     row.cells = DecodeCells(&reader);
     row.var = reader.ReadU32();
-    row.probability = reader.ReadDouble();
-    row.distribution = DecodeDistribution(&reader);
-    out->rows.push_back(std::move(row));
-  }
-  return reader.ok() && reader.AtEnd();
-}
-
-std::string ProbsResultMsg::Encode() const {
-  std::string out;
-  EncodeU64(&out, rows.size());
-  for (const ProbRow& row : rows) {
-    EncodeU64(&out, row.global_row);
-    EncodeDouble(&out, row.probability);
-    EncodeDistribution(&out, row.distribution);
-  }
-  return out;
-}
-
-bool ProbsResultMsg::Decode(const std::string& payload, ProbsResultMsg* out) {
-  ByteReader reader(payload);
-  uint64_t n = reader.ReadU64();
-  if (n > reader.remaining()) return false;
-  out->rows.clear();
-  out->rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ProbRow row;
-    row.global_row = reader.ReadU64();
     row.probability = reader.ReadDouble();
     row.distribution = DecodeDistribution(&reader);
     out->rows.push_back(std::move(row));

@@ -15,10 +15,12 @@
 //      order), so ids line up by construction and the worker checks
 //      `first_id == variables().size()` before applying.
 //   3. Data plane: kLoadPartition / kAppendRow / kDeleteRow mirror the
-//      in-process partition hand-off and the IVM delta stream; kEvalChain /
-//      kTableProbs / kViewProbs are the scatter half of scatter-gather and
-//      return kChainResult / kProbsResult with per-global-row payloads the
-//      coordinator merges by global row order.
+//      in-process partition hand-off and the IVM delta stream, each sent to
+//      the owning worker only. A row is identified by the variable that
+//      annotates it: variables are created in global row order and never
+//      renumbered, so every partition is ascending by variable. kEvalChain
+//      / kViewProbs are the scatter half of scatter-gather and return
+//      kChainResult rows the coordinator merges by variable.
 //
 // Every request either succeeds with its typed reply or fails with kError
 // {text}; a worker never crashes the connection on a malformed payload
@@ -58,7 +60,12 @@ namespace pvcdb {
 /// resolution both ride on it).
 /// Version 5 shrank the kSetOptions payload to EvalOptionsMsg{num_threads}
 /// (4 bytes): the per-d-tree thread count it also carried is gone.
-constexpr uint32_t kProtocolVersion = 5;
+/// Version 6 made a row's annotation variable its only identity: the global
+/// row ids left kLoadPartition, kAppendRow and kChainResult, kDeleteRow
+/// became {table, var} for the owning worker only (no broadcast shift), and
+/// the unused per-table probability request (kind 8) and its reply (kind
+/// 68) are gone; no other kind was renumbered.
+constexpr uint32_t kProtocolVersion = 6;
 
 /// Frame kind bytes. Requests are < 64, replies 64–127, client traffic
 /// >= 128 — the ranges make a reply-where-request-expected bug an
@@ -72,7 +79,6 @@ enum class MsgKind : uint8_t {
   kAppendRow = 5,
   kDeleteRow = 6,
   kEvalChain = 7,
-  kTableProbs = 8,
   kRegisterChainView = 9,
   kDropChainView = 10,
   kViewProbs = 11,
@@ -89,7 +95,6 @@ enum class MsgKind : uint8_t {
   kOk = 65,
   kError = 66,
   kChainResult = 67,
-  kProbsResult = 68,
   kPong = 69,
   kViewInfoResult = 70,
   kTailInfo = 71,
@@ -143,40 +148,36 @@ struct UpdateVarMsg {
 // ---------------------------------------------------------------------------
 
 /// Hands a worker its partition of one table: base rows, each annotated by
-/// one variable, plus the global row id (position in the unsharded table)
-/// that drives merge order and provenance.
+/// one variable. `vars` must be strictly increasing -- the variable is the
+/// row's identity and its order is the unsharded table's row order.
 struct LoadPartitionMsg {
   std::string table;
   std::string key_column;
   Schema schema;
   std::vector<std::vector<Cell>> rows;
   std::vector<VarId> vars;
-  std::vector<uint64_t> global_rows;
 
   std::string Encode() const;
   static bool Decode(const std::string& payload, LoadPartitionMsg* out);
 };
 
 /// One inserted row routed to its owning worker (the IVM insert delta).
+/// `var` must exceed the variable of every row the partition holds.
 struct AppendRowMsg {
   std::string table;
   std::vector<Cell> cells;
   VarId var = 0;
-  uint64_t global_row = 0;
 
   std::string Encode() const;
   static bool Decode(const std::string& payload, AppendRowMsg* out);
 };
 
-/// Broadcast on every delete: the owning worker drops its local row
-/// (has_local_row set), and *every* worker shifts global row ids above
-/// `global_row` down by one so provenance stays aligned with the
-/// coordinator's unsharded numbering.
+/// Sent to the owning worker only: drops the row of `table` annotated by
+/// `var` (found by binary search; a worker that holds no such row answers
+/// kError). No other row's identity changes.
 struct DeleteRowMsg {
   std::string table;
-  bool has_local_row = false;
-  uint64_t local_row = 0;
-  uint64_t global_row = 0;
+  VarId var = 0;
 
   std::string Encode() const;
   static bool Decode(const std::string& payload, DeleteRowMsg* out);
@@ -198,16 +199,6 @@ struct EvalChainMsg {
   static bool Decode(const std::string& payload, EvalChainMsg* out);
 };
 
-/// Asks for P / full marginals of every row in the worker's partition of
-/// `table` (batch tuple confidence, the gather side of TupleProbabilities).
-struct TableProbsMsg {
-  std::string table;
-  bool want_distributions = false;
-
-  std::string Encode() const;
-  static bool Decode(const std::string& payload, TableProbsMsg* out);
-};
-
 /// Registers a worker-maintained chain view over `table`'s partition; the
 /// worker keeps its part materialized and serves kViewProbs from its
 /// per-shard step-two cache, mirroring in-process ShardedView.
@@ -220,8 +211,8 @@ struct RegisterChainViewMsg {
   static bool Decode(const std::string& payload, RegisterChainViewMsg* out);
 };
 
-/// A request identified only by a name: kDropChainView and kViewProbs
-/// (view name), kTableProbs uses its own struct above.
+/// A request identified only by a name: kDropChainView, kViewProbs and
+/// kViewInfo (view name).
 struct NameMsg {
   std::string name;
 
@@ -231,35 +222,19 @@ struct NameMsg {
 
 /// One surviving row of a distributed chain evaluation.
 struct ChainRow {
-  uint64_t global_row = 0;   ///< Provenance: driving row in global order.
-  std::vector<Cell> cells;   ///< Projected cells (rowid column stripped).
-  VarId var = 0;             ///< The row's annotation variable.
+  std::vector<Cell> cells;
+  VarId var = 0;  ///< The row's annotation variable: its identity and order.
   double probability = 0.0;
   Distribution distribution;  ///< Empty unless want_distributions.
 };
 
-/// Reply to kEvalChain.
+/// Reply to kEvalChain and kViewProbs.
 struct ChainResultMsg {
   Schema schema;
   std::vector<ChainRow> rows;
 
   std::string Encode() const;
   static bool Decode(const std::string& payload, ChainResultMsg* out);
-};
-
-/// One row's confidence in a kProbsResult.
-struct ProbRow {
-  uint64_t global_row = 0;
-  double probability = 0.0;
-  Distribution distribution;  ///< Empty unless want_distributions.
-};
-
-/// Reply to kTableProbs.
-struct ProbsResultMsg {
-  std::vector<ProbRow> rows;
-
-  std::string Encode() const;
-  static bool Decode(const std::string& payload, ProbsResultMsg* out);
 };
 
 /// Reply to kViewInfo (the `views` diagnostics line).

@@ -609,26 +609,6 @@ std::optional<std::string> ShardDrivingTable(const Query& q) {
   }
 }
 
-bool QueryMentionsColumn(const Query& q, const std::string& column) {
-  if (q.op() == QueryOp::kSelect) {
-    for (const Atom& atom : q.predicate().atoms()) {
-      for (const Operand* o : {&atom.lhs, &atom.rhs}) {
-        if (o->kind() == Operand::Kind::kColumn && o->column() == column) {
-          return true;
-        }
-      }
-    }
-  }
-  if (q.op() == QueryOp::kRename &&
-      (q.rename_from() == column || q.rename_to() == column)) {
-    return true;
-  }
-  for (const QueryPtr& child : q.children()) {
-    if (QueryMentionsColumn(*child, column)) return true;
-  }
-  return false;
-}
-
 PvcTable QueryEvaluator::EvalGroupAgg(const Query& q) {
   PvcTable storage;
   const PvcTable& input = EvalInput(*q.child(0), &storage);

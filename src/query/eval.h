@@ -142,15 +142,10 @@ EquiJoinPlan SplitEquiJoinAtoms(const Predicate& pred, const Schema& left,
 /// against that table's partitions: both operators map each input row to
 /// at most one output row, preserve order, and leave annotations of data
 /// predicates untouched, so per-partition evaluation followed by a merge
-/// on driving-row order reproduces the unsharded result bit for bit.
-/// Returns nullopt for every other shape (joins, projections, unions and
-/// aggregates merge rows across partitions and must gather first).
+/// on the driving rows' variables reproduces the unsharded result bit for
+/// bit. Returns nullopt for every other shape (joins, projections, unions
+/// and aggregates merge rows across partitions and must gather first).
 std::optional<std::string> ShardDrivingTable(const Query& q);
-
-/// True when any selection predicate or rename endpoint in `q` mentions
-/// `column` -- used to keep reserved provenance columns out of
-/// distributed plans.
-bool QueryMentionsColumn(const Query& q, const std::string& column);
 
 }  // namespace pvcdb
 

@@ -301,6 +301,12 @@ Distribution DecodeDistribution(ByteReader* reader) {
   for (uint32_t i = 0; i < n; ++i) {
     int64_t value = reader->ReadI64();
     double p = reader->ReadDouble();
+    // A negative or NaN mass is corrupt input: reject it here instead of
+    // letting FromPairs throw.
+    if (!(p >= 0.0)) {
+      reader->Fail();
+      return Distribution();
+    }
     entries.emplace_back(value, p);
   }
   // entries() is canonical (sorted, zero-mass dropped), so FromPairs is the

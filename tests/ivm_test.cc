@@ -691,7 +691,7 @@ TEST(IvmApiTest, ShardedInsertKeepsPlacementAndDistributedPlans) {
   DbSpec spec = MakeSpec(&gen, 12, 0, 0);
   spec.tables.resize(1);
   std::unique_ptr<ShardedDatabase> db = FreshSharded(spec, 4, 1);
-  // Exercise the augmented-partition cache before and after the insert.
+  // The distributed chain sees the inserted row on its owning shard.
   QueryPtr chain = ChainQuery();
   ShardedResult before = db->Run(*chain);
   db->InsertTuple("T", {Cell(int64_t{200}), Cell(int64_t{1}),

@@ -1,8 +1,8 @@
 // Wire-protocol tests for the serving layer (src/net): frame round-trips
 // over real sockets, FrameParser reassembly under arbitrary splits,
 // CRC/truncation rejection, and Encode/Decode round-trips for every
-// message kind -- including the rule that a truncated or extended payload
-// is rejected, never misparsed.
+// message kind -- including the rule that a truncated, extended or
+// bit-flipped payload is rejected, never misparsed as the original.
 
 #include <gtest/gtest.h>
 
@@ -163,7 +163,9 @@ TEST(FrameParserTest, EveryTruncationNeedsMoreEveryFlipCorrupts) {
 // ---------------------------------------------------------------------------
 // Message round-trips. Every decoder requires full consumption, so the
 // shared harness also proves: every strict payload prefix is rejected, and
-// so is one byte of trailing garbage.
+// so is one byte of trailing garbage. It also flips every bit of the
+// payload: a flipped payload is either rejected or decodes to a different
+// message, never silently to the original.
 // ---------------------------------------------------------------------------
 
 template <typename Msg>
@@ -179,6 +181,18 @@ void ExpectRoundTripStable(const Msg& msg) {
   }
   Msg scratch;
   EXPECT_FALSE(Msg::Decode(bytes + '\0', &scratch)) << "accepted a suffix";
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      Msg out;
+      if (Msg::Decode(flipped, &out)) {
+        EXPECT_NE(out.Encode(), bytes)
+            << "flip of bit " << bit << " at byte " << i
+            << " decoded to the original message";
+      }
+    }
+  }
 }
 
 TEST(ProtocolTest, HelloRoundTrip) {
@@ -226,14 +240,20 @@ TEST(ProtocolTest, LoadPartitionRoundTrip) {
   msg.rows = {{Cell(std::string("hammer")), Cell(int64_t{1299})},
               {Cell(std::string("rake, green")), Cell(int64_t{-7})}};
   msg.vars = {0, 4};
-  msg.global_rows = {0, 4};
   ExpectRoundTripStable(msg);
   LoadPartitionMsg decoded;
   ASSERT_TRUE(LoadPartitionMsg::Decode(msg.Encode(), &decoded));
   ASSERT_EQ(decoded.rows.size(), 2u);
   EXPECT_EQ(decoded.rows[1][0].AsString(), "rake, green");
   EXPECT_EQ(decoded.rows[1][1].AsInt(), -7);
+  EXPECT_EQ(decoded.vars, (std::vector<VarId>{0, 4}));
   EXPECT_EQ(decoded.schema.NumColumns(), 2u);
+
+  LoadPartitionMsg empty;
+  empty.table = "items";
+  empty.key_column = "item";
+  empty.schema = ItemsSchema();
+  ExpectRoundTripStable(empty);
 }
 
 TEST(ProtocolTest, AppendAndDeleteRowRoundTrip) {
@@ -241,18 +261,25 @@ TEST(ProtocolTest, AppendAndDeleteRowRoundTrip) {
   append.table = "items";
   append.cells = {Cell(std::string("drill")), Cell(int64_t{1450})};
   append.var = 9;
-  append.global_row = 5;
   ExpectRoundTripStable(append);
 
   DeleteRowMsg del;
   del.table = "items";
-  del.has_local_row = true;
-  del.local_row = 1;
-  del.global_row = 3;
+  del.var = 3;
   ExpectRoundTripStable(del);
-  DeleteRowMsg broadcast;
-  broadcast.table = "items";
-  ExpectRoundTripStable(broadcast);
+  DeleteRowMsg decoded;
+  ASSERT_TRUE(DeleteRowMsg::Decode(del.Encode(), &decoded));
+  EXPECT_EQ(decoded.table, "items");
+  EXPECT_EQ(decoded.var, 3u);
+
+  // The protocol-5 payload {table, has_local_row, local_row, global_row}
+  // is not a version-6 message.
+  std::string v5;
+  EncodeString(&v5, "items");
+  EncodeU8(&v5, 1);
+  EncodeU64(&v5, 1);
+  EncodeU64(&v5, 3);
+  EXPECT_FALSE(DeleteRowMsg::Decode(v5, &decoded));
 }
 
 TEST(ProtocolTest, EvalChainCarriesTheQuery) {
@@ -274,13 +301,6 @@ TEST(ProtocolTest, EvalChainCarriesTheQuery) {
     EvalChainMsg scratch;
     EXPECT_FALSE(EvalChainMsg::Decode(bytes.substr(0, n), &scratch));
   }
-}
-
-TEST(ProtocolTest, TableProbsRoundTrip) {
-  TableProbsMsg msg;
-  msg.table = "items";
-  msg.want_distributions = true;
-  ExpectRoundTripStable(msg);
 }
 
 TEST(ProtocolTest, RegisterChainViewRoundTrip) {
@@ -307,31 +327,24 @@ TEST(ProtocolTest, ChainResultRoundTrip) {
   ChainResultMsg msg;
   msg.schema = ItemsSchema();
   ChainRow row;
-  row.global_row = 11;
   row.cells = {Cell(std::string("hammer")), Cell(int64_t{1299})};
   row.var = 2;
   row.probability = 0.9;
   row.distribution = Distribution::Bernoulli(0.9);
   msg.rows.push_back(row);
   ChainRow empty_dist;
-  empty_dist.global_row = 12;
   empty_dist.cells = {Cell(std::string("rake")), Cell(int64_t{1799})};
+  empty_dist.var = 12;
   msg.rows.push_back(empty_dist);
   ExpectRoundTripStable(msg);
   ChainResultMsg decoded;
   ASSERT_TRUE(ChainResultMsg::Decode(msg.Encode(), &decoded));
   ASSERT_EQ(decoded.rows.size(), 2u);
-  EXPECT_EQ(decoded.rows[0].global_row, 11u);
+  EXPECT_EQ(decoded.rows[0].var, 2u);
+  EXPECT_EQ(decoded.rows[1].var, 12u);
   EXPECT_EQ(decoded.rows[0].probability, 0.9);
   EXPECT_EQ(decoded.rows[1].distribution.ToString(),
             Distribution().ToString());
-}
-
-TEST(ProtocolTest, ProbsResultRoundTrip) {
-  ProbsResultMsg msg;
-  msg.rows.push_back({0, 0.25, Distribution()});
-  msg.rows.push_back({3, 1.0, Distribution::Bernoulli(1.0)});
-  ExpectRoundTripStable(msg);
 }
 
 TEST(ProtocolTest, ScalarRepliesRoundTrip) {

@@ -29,6 +29,7 @@
 #include "src/net/socket.h"
 #include "src/query/parser.h"
 #include "src/table/schema.h"
+#include "src/util/check.h"
 #include "tests/standalone_worker.h"
 
 namespace pvcdb {
@@ -112,7 +113,6 @@ TEST(ShardWorkerDurabilityTest, ShipWalReplaysBitIdenticalPosition) {
   part.rows = {{Cell(std::string("hammer")), Cell(int64_t{1299})},
                {Cell(std::string("rake")), Cell(int64_t{1799})}};
   part.vars = {0, 1};
-  part.global_rows = {0, 1};
   ASSERT_TRUE(
       primary.Handle(MsgKind::kLoadPartition, part.Encode(), &rk, &rp));
   ASSERT_EQ(rk, MsgKind::kOk);
@@ -160,6 +160,96 @@ TEST(ShardWorkerDurabilityTest, ShipWalReplaysBitIdenticalPosition) {
   ASSERT_EQ(rk, MsgKind::kOk);
   EXPECT_EQ(replica.lsn(), 0u);
   EXPECT_EQ(replica.chain(), 0u);
+}
+
+// A row's identity on a worker is its annotation variable, so the worker
+// refuses any load or append that would break the ascending order and any
+// delete of a variable it does not hold -- with kError, nothing applied
+// and its (lsn, chain) position unmoved.
+TEST(ShardWorkerDurabilityTest, RefusesNonIncreasingVarsAndUnknownDeletes) {
+  ShardWorker worker(TestHello());
+  MsgKind rk = MsgKind::kError;
+  std::string rp;
+
+  SyncVarsMsg vars;
+  vars.first_id = 0;
+  for (int i = 0; i < 5; ++i) {
+    vars.entries.push_back({"x" + std::to_string(i),
+                            Distribution::Bernoulli(0.5 + 0.1 * i)});
+  }
+  ASSERT_TRUE(worker.Handle(MsgKind::kSyncVars, vars.Encode(), &rk, &rp));
+  ASSERT_EQ(rk, MsgKind::kOk);
+
+  LoadPartitionMsg part;
+  part.table = "items";
+  part.key_column = "item";
+  part.schema = Schema({{"item", CellType::kString},
+                        {"price", CellType::kInt}});
+  part.rows = {{Cell(std::string("hammer")), Cell(int64_t{1299})},
+               {Cell(std::string("rake")), Cell(int64_t{1799})}};
+  part.vars = {0, 2};
+  ASSERT_TRUE(worker.Handle(MsgKind::kLoadPartition, part.Encode(), &rk, &rp));
+  ASSERT_EQ(rk, MsgKind::kOk);
+
+  ParseResult parsed = ParseQuery("SELECT * FROM items");
+  ASSERT_TRUE(parsed.ok());
+  EvalChainMsg eval;
+  eval.table = "items";
+  eval.query = parsed.query;
+  auto contents = [&]() {
+    MsgKind kind = MsgKind::kError;
+    std::string reply;
+    EXPECT_TRUE(worker.Handle(MsgKind::kEvalChain, eval.Encode(), &kind,
+                              &reply));
+    EXPECT_EQ(kind, MsgKind::kChainResult);
+    return reply;
+  };
+  const std::string before = contents();
+  const uint64_t lsn = worker.lsn();
+  const uint32_t chain = worker.chain();
+  auto expect_refused = [&](MsgKind kind, const std::string& payload) {
+    ASSERT_TRUE(worker.Handle(kind, payload, &rk, &rp));
+    EXPECT_EQ(rk, MsgKind::kError) << static_cast<int>(kind);
+    EXPECT_EQ(worker.lsn(), lsn);
+    EXPECT_EQ(worker.chain(), chain);
+    EXPECT_EQ(contents(), before);
+  };
+
+  LoadPartitionMsg descending = part;
+  descending.vars = {2, 1};
+  expect_refused(MsgKind::kLoadPartition, descending.Encode());
+  LoadPartitionMsg repeated = part;
+  repeated.vars = {3, 3};
+  expect_refused(MsgKind::kLoadPartition, repeated.Encode());
+
+  AppendRowMsg append;
+  append.table = "items";
+  append.cells = {Cell(std::string("drill")), Cell(int64_t{1450})};
+  append.var = 1;
+  expect_refused(MsgKind::kAppendRow, append.Encode());
+  append.var = 2;
+  expect_refused(MsgKind::kAppendRow, append.Encode());
+
+  DeleteRowMsg del;
+  del.table = "items";
+  del.var = 1;
+  expect_refused(MsgKind::kDeleteRow, del.Encode());
+  del.var = 4;
+  expect_refused(MsgKind::kDeleteRow, del.Encode());
+
+  // The valid versions apply and advance the position.
+  append.var = 3;
+  ASSERT_TRUE(worker.Handle(MsgKind::kAppendRow, append.Encode(), &rk, &rp));
+  EXPECT_EQ(rk, MsgKind::kOk);
+  del.var = 0;
+  ASSERT_TRUE(worker.Handle(MsgKind::kDeleteRow, del.Encode(), &rk, &rp));
+  EXPECT_EQ(rk, MsgKind::kOk);
+  EXPECT_EQ(worker.lsn(), lsn + 2);
+  ChainResultMsg result;
+  ASSERT_TRUE(ChainResultMsg::Decode(contents(), &result));
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[0].var, 2u);
+  EXPECT_EQ(result.rows[1].var, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +339,7 @@ TEST(ServeDurabilityTest, WorkerRejectsAnOlderProtocolVersion) {
   ASSERT_EQ(handshake(kProtocolVersion - 1, &payload), MsgKind::kError);
   ErrorMsg err;
   ASSERT_TRUE(ErrorMsg::Decode(payload, &err));
-  EXPECT_EQ(err.text, "bad handshake (protocol version 5 required)");
+  EXPECT_EQ(err.text, "bad handshake (protocol version 6 required)");
   EXPECT_EQ(handshake(kProtocolVersion, &payload), MsgKind::kHelloAck);
 }
 
@@ -279,8 +369,9 @@ ResyncLine ParseResyncLine(const std::string& line) {
 }
 
 // The mutation sequence every phase of the test serves: a load, a routed
-// insert, a marginal update, a distributable chain view, and a broadcast
-// delete -- each producing WAL records and shard-log entries.
+// insert, a marginal update, a distributable chain view, and a delete
+// routed to the owning worker -- each producing WAL records and shard-log
+// entries.
 void MutateAll(Coordinator* coordinator) {
   Schema schema({{"item", CellType::kString}, {"price", CellType::kInt}});
   std::vector<std::vector<Cell>> rows = {
@@ -309,6 +400,140 @@ QueryRun RunChain(Coordinator* coordinator) {
       ParseQuery("SELECT * FROM items WHERE price >= 1000");
   EXPECT_TRUE(parsed.ok());
   return coordinator->Run(*parsed.query);
+}
+
+// A delete changes only the worker that owns the row: the coordinator
+// ships kDeleteRow{table, var} to the owner alone, so the other worker's
+// (lsn, chain) stays where it was, and served results keep matching the
+// in-process engine.
+TEST(ServeDurabilityTest, DeleteReachesOnlyTheOwningWorker) {
+  TempDir dir;
+  const std::vector<std::string> addrs = {dir.path() + "/w0.sock",
+                                          dir.path() + "/w1.sock"};
+  StandaloneWorker worker0(addrs[0]);
+  StandaloneWorker worker1(addrs[1]);
+  ASSERT_GT(worker0.pid(), 0);
+  ASSERT_GT(worker1.pid(), 0);
+  auto coordinator = std::make_unique<Coordinator>(
+      SemiringKind::kBool, DialWorkers(addrs), RedialSpawner(addrs));
+
+  Schema schema({{"item", CellType::kString}, {"price", CellType::kInt}});
+  std::vector<std::vector<Cell>> rows = {
+      {Cell(std::string("hammer")), Cell(int64_t{1299})},
+      {Cell(std::string("wrench")), Cell(int64_t{450})},
+      {Cell(std::string("shovel")), Cell(int64_t{2399})},
+      {Cell(std::string("rake")), Cell(int64_t{1799})},
+      {Cell(std::string("whisk")), Cell(int64_t{220})},
+      {Cell(std::string("drill")), Cell(int64_t{1450})},
+  };
+  std::vector<double> probs = {0.9, 0.7, 0.6, 0.5, 0.95, 0.7};
+  ShardedDatabase reference(addrs.size());
+  coordinator->AddTupleIndependentTable("items", schema, rows, probs);
+  reference.AddTupleIndependentTable("items", schema, rows, probs);
+  ParseResult view_query =
+      ParseQuery("SELECT * FROM items WHERE price >= 1000");
+  ASSERT_TRUE(view_query.ok());
+  std::vector<std::string> warnings;
+  coordinator->RegisterView("pricey", view_query.query, &warnings);
+  reference.RegisterView("pricey", view_query.query);
+  for (size_t count : coordinator->ShardRowCounts("items")) {
+    ASSERT_GT(count, 0u);  // Both workers hold rows of the table.
+  }
+
+  const Cell key(std::string("rake"));
+  const size_t owner = FnvShardRouter().Route(key, addrs.size());
+  std::vector<std::pair<uint64_t, uint32_t>> before(addrs.size());
+  for (size_t s = 0; s < addrs.size(); ++s) {
+    ASSERT_TRUE(
+        coordinator->WorkerTail(s, &before[s].first, &before[s].second));
+  }
+  EXPECT_EQ(coordinator->DeleteTuple("items", key), 1u);
+  EXPECT_EQ(reference.DeleteTuple("items", key), 1u);
+  for (size_t s = 0; s < addrs.size(); ++s) {
+    SCOPED_TRACE(::testing::Message() << "worker " << s);
+    uint64_t lsn = 0;
+    uint32_t chain = 0;
+    ASSERT_TRUE(coordinator->WorkerTail(s, &lsn, &chain));
+    if (s == owner) {
+      EXPECT_EQ(lsn, before[s].first + 1);
+      EXPECT_NE(chain, before[s].second);
+    } else {
+      EXPECT_EQ(lsn, before[s].first);
+      EXPECT_EQ(chain, before[s].second);
+    }
+    // The coordinator's shard log agrees with the worker.
+    EXPECT_EQ(coordinator->ShardTails()[s], std::make_pair(lsn, chain));
+  }
+
+  QueryRun run = RunChain(coordinator.get());
+  EXPECT_TRUE(run.distributed);
+  ShardedResult expected = reference.Run(*view_query.query);
+  EXPECT_EQ(run.text, reference.ResultToString(expected));
+  EXPECT_EQ(run.probabilities, reference.TupleProbabilities(expected));
+  QueryRun view = coordinator->PrintView("pricey");
+  EXPECT_TRUE(view.warnings.empty());
+  EXPECT_EQ(view.text, reference.ResultToString(reference.ViewResult("pricey")));
+  EXPECT_EQ(view.probabilities, reference.ViewProbabilities("pricey"));
+  coordinator->Shutdown();
+}
+
+// The coordinator checks the row-identity invariant where outside input
+// enters (the snapshot and WAL replay targets): a load or append with
+// non-increasing variables throws before the replica, the shard logs or
+// any worker change.
+TEST(ServeDurabilityTest, CoordinatorRefusesNonIncreasingVariables) {
+  TempDir dir;
+  const std::vector<std::string> addrs = {dir.path() + "/w0.sock",
+                                          dir.path() + "/w1.sock"};
+  StandaloneWorker worker0(addrs[0]);
+  StandaloneWorker worker1(addrs[1]);
+  ASSERT_GT(worker0.pid(), 0);
+  ASSERT_GT(worker1.pid(), 0);
+  auto coordinator = std::make_unique<Coordinator>(
+      SemiringKind::kBool, DialWorkers(addrs), RedialSpawner(addrs));
+  for (int i = 0; i < 6; ++i) {
+    VarId x = coordinator->local().variables().AddBernoulli(0.5);
+    coordinator->local().pool().Var(x);
+  }
+  auto tails = [&]() {
+    std::vector<std::pair<uint64_t, uint32_t>> out(addrs.size());
+    for (size_t s = 0; s < addrs.size(); ++s) {
+      EXPECT_TRUE(coordinator->WorkerTail(s, &out[s].first, &out[s].second));
+    }
+    EXPECT_EQ(out, coordinator->ShardTails());
+    return out;
+  };
+  Schema schema({{"k", CellType::kInt}, {"v", CellType::kInt}});
+  std::vector<std::vector<Cell>> rows = {{Cell(int64_t{1}), Cell(int64_t{10})},
+                                         {Cell(int64_t{2}), Cell(int64_t{20})},
+                                         {Cell(int64_t{3}), Cell(int64_t{30})}};
+
+  const auto empty = tails();
+  EXPECT_THROW(
+      coordinator->AddVariableAnnotatedTable("T", schema, rows, {0, 2, 1}, "k"),
+      CheckError);
+  EXPECT_THROW(
+      coordinator->AddVariableAnnotatedTable("T", schema, rows, {1, 1, 2}, "k"),
+      CheckError);
+  EXPECT_FALSE(coordinator->HasTable("T"));
+  EXPECT_EQ(tails(), empty);
+
+  coordinator->AddVariableAnnotatedTable("T", schema, rows, {0, 1, 3}, "k");
+  const auto loaded = tails();
+  EXPECT_NE(loaded, empty);
+  std::vector<Cell> extra = {Cell(int64_t{4}), Cell(int64_t{40})};
+  EXPECT_THROW(coordinator->AppendRowToTable("T", extra, 2), CheckError);
+  EXPECT_THROW(coordinator->AppendRowToTable("T", extra, 3), CheckError);
+  EXPECT_EQ(coordinator->NumRows("T"), 3u);
+  EXPECT_EQ(tails(), loaded);
+
+  EXPECT_EQ(coordinator->AppendRowToTable("T", extra, 5), 3u);
+  ParseResult parsed = ParseQuery("SELECT * FROM T WHERE v >= 20");
+  ASSERT_TRUE(parsed.ok());
+  QueryRun run = coordinator->Run(*parsed.query);
+  EXPECT_TRUE(run.distributed);
+  EXPECT_EQ(run.probabilities, (std::vector<double>{0.5, 0.5, 0.5}));
+  coordinator->Shutdown();
 }
 
 TEST(ServeDurabilityTest, CoordinatorRestartTailResyncsSurvivingWorkers) {

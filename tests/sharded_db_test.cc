@@ -1,19 +1,28 @@
 // Tests for the sharded-database subsystem (src/engine/shard.h): routing
-// and partitioning invariants, and the contract that every result --
-// distributed step I plans, coordinator fallbacks, and the scatter-gather
-// step II passes -- is *bit-identical* to the unsharded engine for
-// shards in {1, 2, 4, 8} x threads in {1, 4}.
+// and partitioning invariants, the row identity (a row's variable, kept
+// strictly ascending), and the contract that every result -- distributed
+// step I plans, coordinator fallbacks, and the scatter-gather step II
+// passes -- is *bit-identical* to the unsharded engine for shards in
+// {1, 2, 4, 8} x threads in {1, 4}.
 
+#include <stdlib.h>
+
+#include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/engine/coordinator.h"
 #include "src/engine/csv.h"
 #include "src/engine/database.h"
 #include "src/engine/shard.h"
+#include "src/net/socket.h"
 #include "src/query/ast.h"
+#include "src/util/check.h"
 #include "src/util/rng.h"
+#include "tests/standalone_worker.h"
 
 namespace pvcdb {
 namespace {
@@ -356,6 +365,162 @@ TEST(ShardedDatabaseTest, CsvLoadsShardTheSameRowsAsTheUnshardedLoad) {
   }
   std::vector<size_t> counts = db.ShardRowCounts("items");
   EXPECT_EQ(counts[0] + counts[1], 3u);
+}
+
+// Tables with a column named like the hidden row-id column earlier
+// versions carried through distributed plans (which made chains over them,
+// or renaming into that name, gather to the coordinator). Row identity is
+// the annotation variable now, so any column name is an ordinary column.
+template <typename DB>
+void LoadRowIdNamedTables(DB* db) {
+  Rng rng(777);
+  Schema t_schema({{"id", CellType::kInt},
+                   {"__pvcdb_rowid", CellType::kInt},
+                   {"v", CellType::kInt}});
+  Schema u_schema({{"id", CellType::kInt}, {"v", CellType::kInt}});
+  std::vector<std::vector<Cell>> t_rows;
+  std::vector<std::vector<Cell>> u_rows;
+  std::vector<double> t_probs;
+  std::vector<double> u_probs;
+  for (int64_t i = 0; i < 200; ++i) {
+    t_rows.push_back({Cell(i), Cell(199 - i), Cell(i % 7)});
+    t_probs.push_back(rng.UniformDouble(0.05, 0.95));
+    u_rows.push_back({Cell(i), Cell(i % 11)});
+    u_probs.push_back(rng.UniformDouble(0.05, 0.95));
+  }
+  db->AddTupleIndependentTable("T", t_schema, std::move(t_rows),
+                               std::move(t_probs));
+  db->AddTupleIndependentTable("U", u_schema, std::move(u_rows),
+                               std::move(u_probs));
+}
+
+std::vector<QueryPtr> RowIdNamedChains() {
+  QueryPtr select = Query::Select(
+      Query::Scan("T"), Predicate::ColCmpInt("__pvcdb_rowid", CmpOp::kGe, 60));
+  QueryPtr renamed = Query::Select(
+      Query::Rename(Query::Scan("T"), "__pvcdb_rowid", "rid"),
+      Predicate::ColCmpInt("rid", CmpOp::kLt, 150));
+  QueryPtr into = Query::Select(
+      Query::Rename(Query::Scan("U"), "v", "__pvcdb_rowid"),
+      Predicate::ColCmpInt("__pvcdb_rowid", CmpOp::kLe, 3));
+  return {select, renamed, into};
+}
+
+TEST(ShardedDatabaseTest, ChainsOverAColumnNamedLikeTheOldRowIdRunDistributed) {
+  Database reference;
+  LoadRowIdNamedTables(&reference);
+  for (size_t shards : kShardGrid) {
+    ShardedDatabase db(shards);
+    LoadRowIdNamedTables(&db);
+    std::vector<QueryPtr> chains = RowIdNamedChains();
+    for (size_t qi = 0; qi < chains.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message() << "shards=" << shards
+                                        << " query=" << qi);
+      PvcTable expected = reference.Run(*chains[qi]);
+      ASSERT_GT(expected.NumRows(), 0u);
+      std::vector<double> expected_probs =
+          reference.TupleProbabilities(expected);
+      std::vector<Distribution> expected_dists =
+          reference.AnnotationDistributions(expected);
+
+      ShardedResult result = db.Run(*chains[qi]);
+      EXPECT_TRUE(result.distributed());
+      EXPECT_EQ(result.schema(), expected.schema());
+      ASSERT_EQ(result.NumRows(), expected.NumRows());
+      for (size_t i = 0; i < result.NumRows(); ++i) {
+        EXPECT_EQ(result.cells(i), expected.row(i).cells) << "row " << i;
+      }
+      EXPECT_EQ(db.ResultToString(result),
+                expected.ToString(&reference.pool()));
+      EXPECT_EQ(db.TupleProbabilities(result), expected_probs);
+      std::vector<Distribution> dists = db.AnnotationDistributions(result);
+      ASSERT_EQ(dists.size(), expected_dists.size());
+      for (size_t i = 0; i < dists.size(); ++i) {
+        ExpectBitIdentical(dists[i], expected_dists[i]);
+      }
+    }
+  }
+}
+
+// The served path: the same chains scatter to two worker processes and
+// gather to the text and probabilities the in-process engine produces.
+TEST(ShardedDatabaseTest, ServedChainsOverAColumnNamedLikeTheOldRowIdScatter) {
+  char tmpl[] = "/tmp/pvcdb_shardtest_XXXXXX";
+  char* made = mkdtemp(tmpl);
+  ASSERT_NE(made, nullptr);
+  const std::string dir = made;
+  const std::vector<std::string> addrs = {dir + "/w0.sock", dir + "/w1.sock"};
+  {
+    StandaloneWorker worker0(addrs[0]);
+    StandaloneWorker worker1(addrs[1]);
+    ASSERT_GT(worker0.pid(), 0);
+    ASSERT_GT(worker1.pid(), 0);
+    std::vector<RemoteShard> workers;
+    for (size_t s = 0; s < addrs.size(); ++s) {
+      std::string error;
+      Socket sock = ConnectWithRetry(addrs[s], 250, &error);
+      ASSERT_TRUE(sock.valid()) << error;
+      workers.emplace_back(static_cast<uint32_t>(s), std::move(sock), 0);
+    }
+    Coordinator coordinator(SemiringKind::kBool, std::move(workers), nullptr);
+    LoadRowIdNamedTables(&coordinator);
+    ShardedDatabase db(addrs.size());
+    LoadRowIdNamedTables(&db);
+    for (const QueryPtr& chain : RowIdNamedChains()) {
+      ShardedResult expected = db.Run(*chain);
+      QueryRun run = coordinator.Run(*chain);
+      EXPECT_TRUE(run.distributed);
+      EXPECT_TRUE(run.warnings.empty());
+      EXPECT_EQ(run.text, db.ResultToString(expected));
+      EXPECT_EQ(run.probabilities, db.TupleProbabilities(expected));
+    }
+    coordinator.Shutdown();
+  }
+  std::string cleanup = "rm -rf '" + dir + "'";
+  EXPECT_EQ(std::system(cleanup.c_str()), 0);
+}
+
+// A sharded row's variable is its identity, so every table keeps its rows
+// strictly ascending by variable: loads and appends that would break the
+// order are refused before anything changes.
+TEST(ShardedDatabaseTest, NonIncreasingVariablesAreRefused) {
+  for (size_t shards : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    ShardedDatabase db(shards);
+    for (int i = 0; i < 6; ++i) {
+      VarId x = db.variables().AddBernoulli(0.5);
+      db.coordinator().pool().Var(x);
+    }
+    Schema schema({{"k", CellType::kInt}, {"v", CellType::kInt}});
+    auto rows = [](int64_t n) {
+      std::vector<std::vector<Cell>> out;
+      for (int64_t i = 0; i < n; ++i) out.push_back({Cell(i), Cell(i * 10)});
+      return out;
+    };
+    EXPECT_THROW(db.AddVariableAnnotatedTable("T", schema, rows(3), {0, 2, 1}),
+                 CheckError);
+    EXPECT_THROW(db.AddVariableAnnotatedTable("T", schema, rows(2), {3, 3}),
+                 CheckError);
+    EXPECT_FALSE(db.HasTable("T"));
+
+    db.AddVariableAnnotatedTable("T", schema, rows(2), {1, 3});
+    EXPECT_THROW(db.AppendRowToTable("T", {Cell(int64_t{7}), Cell(int64_t{0})},
+                                     2),
+                 CheckError);
+    EXPECT_THROW(db.AppendRowToTable("T", {Cell(int64_t{7}), Cell(int64_t{0})},
+                                     3),
+                 CheckError);
+    EXPECT_EQ(db.NumRows("T"), 2u);
+    size_t held = 0;
+    for (size_t count : db.ShardRowCounts("T")) held += count;
+    EXPECT_EQ(held, 2u);
+
+    EXPECT_EQ(db.AppendRowToTable("T", {Cell(int64_t{7}), Cell(int64_t{0})},
+                                  5),
+              2u);
+    EXPECT_EQ(db.TupleProbabilities("T"),
+              (std::vector<double>{0.5, 0.5, 0.5}));
+  }
 }
 
 TEST(ShardedDatabaseTest, DeterministicBaselineMatches) {
