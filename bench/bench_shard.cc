@@ -13,8 +13,9 @@
 // pipeline. Every configuration's probabilities are compared bit-for-bit
 // against the shards=1, threads=1 reference; any divergence fails the run.
 // CI captures the JSON-lines output as BENCH_shard.json and gates the
-// normalized 4-way throughput against the committed baseline
-// (scripts/check_bench_trajectory.py).
+// normalized 4-way shard_query throughput and the normalized 1-shard,
+// 1-thread shard_select throughput (the per-row step II cost) against the
+// committed baseline (scripts/check_bench_trajectory.py).
 //
 // Flags: --smoke (tiny grid, for ctest), --full (larger grid), --json.
 

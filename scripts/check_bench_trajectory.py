@@ -4,14 +4,18 @@
 Two metrics over JSON-lines bench output:
 
 --metric throughput (default; `bench_shard --json`): compares the
-*normalized* 4-way sharded throughput
+*normalized* throughput of the --series record at --shards/--threads
 
-    normalized = T(shards=4, threads=4) / T(shards=1, threads=1)
+    normalized = T(series, shards, threads) / T(shard_query, 1, 1)
 
-where T is rows per second of the "shard_query" series within one run.
-Normalizing by the same run's serial single-shard point cancels the
-absolute speed of the machine, so a baseline committed from one host
-remains meaningful on CI runners.
+where T is rows per second within one run (the defaults, shard_query at
+4 shards x 4 threads, gate the 4-way sharded speedup). Normalizing by the
+same run's serial single-shard shard_query point cancels the absolute
+speed of the machine, so a baseline committed from one host remains
+meaningful on CI runners. With --series shard_select --shards 1
+--threads 1 the gate reads the cost of a Select chain's per-row step II
+relative to a grouped COUNT over the same table: a per-row cost that grows
+with the expression pool shows as a drop of the ratio.
 
 --metric speedup (`bench_ivm --json`): compares the recorded
 `speedup_incremental_vs_recompute` field of the summary record selected
@@ -108,8 +112,8 @@ def field_value(records, bench, shards, threads, field):
                       field)
 
 
-def normalized(records, shards, threads):
-    fast = throughput(records, "shard_query", shards, threads)
+def normalized(records, series, shards, threads):
+    fast = throughput(records, series, shards, threads)
     base = throughput(records, "shard_query", 1, 1)
     if base <= 0:
         print("ERROR: non-positive serial throughput")
@@ -138,7 +142,7 @@ def main():
                         default="throughput")
     parser.add_argument("--series", default="shard_query",
                         help="bench name of the record to gate on "
-                             "(speedup / ns-per-node metrics)")
+                             "(throughput / speedup / ns-per-node metrics)")
     parser.add_argument("--threshold", type=float, default=None,
                         help="allowed fractional drop (default 0.20 = 20%%); "
                              "for overhead-pct, the absolute overhead "
@@ -169,14 +173,16 @@ def main():
 
     lower_is_better = False
     if args.metric == "throughput":
-        current = normalized(load_records(args.current), args.shards,
-                             args.threads)
+        current = normalized(load_records(args.current), args.series,
+                             args.shards, args.threads)
         baseline_records = load_records(args.baseline)
         # Only throughput baselines degrade on a 1-CPU host; speedups are
         # within-run ratios and stay meaningful there.
         warn_if_weak_baseline(baseline_records)
-        baseline = normalized(baseline_records, args.shards, args.threads)
-        label = f"normalized {args.shards}-way throughput"
+        baseline = normalized(baseline_records, args.series, args.shards,
+                              args.threads)
+        label = (f"normalized {args.series} throughput at "
+                 f"{args.shards} shards x {args.threads} threads")
     elif args.metric == "ns-per-node":
         current = field_value(load_records(args.current), args.series,
                               args.shards, args.threads, "ns_per_node")

@@ -79,6 +79,14 @@ std::vector<DTree> CompileBatch(const ExprPool& pool,
 
 DTree DTreeCompiler::Compile(ExprId e) {
   memo_.assign(pool_->NumNodes(), kNoNode);
+  Span<VarId> vars = pool_->VarsOf(e);
+  root_vars_.assign(vars.begin(), vars.end());
+  if (var_stamp_.size() < root_vars_.size()) {
+    var_stamp_.resize(root_vars_.size(), 0);
+    var_owner_.resize(root_vars_.size(), 0);
+    occ_stamp_.resize(root_vars_.size(), 0);
+    occ_count_.resize(root_vars_.size(), 0.0);
+  }
   frames_.clear();
   pending_.clear();
   members_.clear();
@@ -372,16 +380,14 @@ std::vector<std::vector<size_t>> DTreeCompiler::Components(
     var_epoch_ = 1;
   }
   for (size_t i = 0; i < n; ++i) {
+    const VarId* from = root_vars_.data();
     for (VarId v : pool_->VarsOf(items[i])) {
-      if (v >= var_stamp_.size()) {
-        var_stamp_.resize(v + 1, 0);
-        var_owner_.resize(v + 1, 0);
-      }
-      if (var_stamp_[v] != var_epoch_) {
-        var_stamp_[v] = var_epoch_;
-        var_owner_[v] = static_cast<uint32_t>(i);
+      uint32_t slot = VarSlot(v, &from);
+      if (var_stamp_[slot] != var_epoch_) {
+        var_stamp_[slot] = var_epoch_;
+        var_owner_[slot] = static_cast<uint32_t>(i);
       } else {
-        uf_parent_[find(i)] = find(var_owner_[v]);
+        uf_parent_[find(i)] = find(var_owner_[slot]);
       }
     }
   }
@@ -445,26 +451,36 @@ void DTreeCompiler::CountOccurrences(ExprId e) {
     double p = node_paths_[id];
     const ExprNode& nd = pool_->node(id);
     if (nd.kind == ExprKind::kVar) {
-      VarId v = nd.var();
-      if (v >= occ_stamp_.size()) {
-        occ_stamp_.resize(v + 1, 0);
-        occ_count_.resize(v + 1, 0.0);
-      }
-      if (occ_stamp_[v] != occ_epoch_) {
-        occ_stamp_[v] = occ_epoch_;
-        occ_count_[v] = p;
+      uint32_t slot = VarSlot(nd.var());
+      if (occ_stamp_[slot] != occ_epoch_) {
+        occ_stamp_[slot] = occ_epoch_;
+        occ_count_[slot] = p;
       } else {
-        occ_count_[v] += p;
+        occ_count_[slot] += p;
       }
     }
     for (ExprId c : nd.children()) node_paths_[c] += p;
   }
 }
 
-double DTreeCompiler::OccurrencesOf(VarId v) const {
-  return (v < occ_stamp_.size() && occ_stamp_[v] == occ_epoch_)
-             ? occ_count_[v]
-             : 0.0;
+uint32_t DTreeCompiler::VarSlot(VarId v, const VarId** from) const {
+  const VarId* end = root_vars_.data() + root_vars_.size();
+  const VarId* it = *from;
+  // A subproblem's variables are often a contiguous run of the root's:
+  // the next slot is then the answer and no search runs.
+  if (it == end || *it != v) {
+    it = std::lower_bound(it, end, v);
+    PVC_CHECK_MSG(it != end && *it == v, "variable "
+                                             << v
+                                             << " is not a variable of the "
+                                                "compiled root");
+  }
+  *from = it + 1;
+  return static_cast<uint32_t>(it - root_vars_.data());
+}
+
+double DTreeCompiler::OccurrencesOf(uint32_t slot) const {
+  return occ_stamp_[slot] == occ_epoch_ ? occ_count_[slot] : 0.0;
 }
 
 VarId DTreeCompiler::ChooseVariable(ExprId e) {
@@ -481,8 +497,9 @@ VarId DTreeCompiler::ChooseVariable(ExprId e) {
       VarId best = vars.front();
       double best_count = -1.0;
       // Deterministic tie-break on the smaller id: iterate the sorted list.
+      const VarId* from = root_vars_.data();
       for (VarId v : vars) {
-        double c = OccurrencesOf(v);
+        double c = OccurrencesOf(VarSlot(v, &from));
         if (c > best_count) {
           best = v;
           best_count = c;

@@ -23,8 +23,10 @@
 // Shannon branches are built exactly when compilation reaches them, so the
 // pool grows in the same order as the recursive formulation), the memo is a
 // dense ExprId-indexed vector, and the per-expansion scratch (connected
-// components, occurrence counting) is epoch-stamped instead of hashed --
-// no recursion depth limit and no per-node allocation on the hot path.
+// components, occurrence counting) is epoch-stamped instead of hashed and
+// indexed by the variable's position among the root's variables -- no
+// recursion depth limit, no per-node allocation on the hot path, and no
+// scratch sized to the largest VarId of the database.
 
 #ifndef PVCDB_DTREE_COMPILE_H_
 #define PVCDB_DTREE_COMPILE_H_
@@ -145,10 +147,20 @@ class DTreeCompiler {
 
   VarId ChooseVariable(ExprId e);
 
+  /// Position of `v` in root_vars_, searching from `*from` on (callers
+  /// walking a sorted variable list narrow the search as they go); the
+  /// per-variable scratch is indexed by it. Throws CheckError when `v` is
+  /// not a variable of the compiled root.
+  uint32_t VarSlot(VarId v, const VarId** from) const;
+  uint32_t VarSlot(VarId v) const {
+    const VarId* from = root_vars_.data();
+    return VarSlot(v, &from);
+  }
+
   /// Path-weighted occurrence counting over the DAG below `e` into the
-  /// epoch-stamped var_occ_ scratch (read back via OccurrencesOf).
+  /// epoch-stamped occ_ scratch (read back via OccurrencesOf).
   void CountOccurrences(ExprId e);
-  double OccurrencesOf(VarId v) const;
+  double OccurrencesOf(uint32_t slot) const;
 
   /// Groups `items` into connected components of shared variables; returns
   /// one vector of item indices per component.
@@ -175,8 +187,14 @@ class DTreeCompiler {
   std::vector<DTree::NodeId> child_ids_;  // Scratch for AddNode specs.
   std::vector<int64_t> branch_scratch_;
 
-  // Epoch-stamped scratch: connected components (per variable) and
-  // occurrence counting (per node and per variable).
+  /// Sorted distinct variables of the expression being compiled. Every
+  /// subproblem's variables are a subset, so the per-variable scratch below
+  /// is indexed by position here and sized to the root, not to the largest
+  /// VarId.
+  std::vector<VarId> root_vars_;
+
+  // Epoch-stamped scratch: connected components (per variable slot) and
+  // occurrence counting (per node and per variable slot).
   std::vector<uint32_t> var_stamp_;
   std::vector<uint32_t> var_owner_;
   uint32_t var_epoch_ = 0;

@@ -12,9 +12,23 @@ namespace pvcdb {
 CompiledDistribution IsolatedCompileAndDistribution(
     const ExprPool& source, const VariableTable& variables, ExprId annotation,
     const CompileOptions& options) {
+  CompiledDistribution out;
+  const ExprNode& root = source.node(annotation);
+  if (root.kind == ExprKind::kVar) {
+    // A single-variable row (every row of a tuple-independent table): the
+    // compiler would emit one variable leaf, whose distribution the
+    // probability kernel returns as the variable's own.
+    PVC_CHECK_MSG(options.max_nodes > 0, "d-tree node budget exceeded ("
+                                             << options.max_nodes << ")");
+    out.tree.set_root(out.tree.AddNode(DTreeNodeKind::kLeafVar,
+                                       ExprSort::kSemiring, AggKind::kSum,
+                                       CmpOp::kEq, root.var(), 0, {}, {}));
+    out.distribution = variables.DistributionOf(root.var());
+    PVCDB_COUNTER_ADD("engine.dtrees_compiled", 1);
+    return out;
+  }
   ExprPool local(source.semiring().kind());
   ExprId e = source.CloneInto(&local, annotation);
-  CompiledDistribution out;
   // This runs once per result row, so exact spans would double the
   // instrumentation bill of cheap annotations: sample 1 in 8 (the trace
   // receives the x8-scaled estimate; see PVCDB_SPAN_SAMPLED).

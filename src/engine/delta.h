@@ -73,8 +73,11 @@ struct CompiledDistribution {
 
 /// The per-row step II pipeline behind every probability pass and cache
 /// fill: clone the annotation from `source` into a task-private pool,
-/// compile it, run the bottom-up probability pass. `source` is only read,
-/// so concurrent calls against one pool are safe.
+/// compile it, run the bottom-up probability pass. A single-variable
+/// annotation skips all three: its d-tree is the one variable leaf the
+/// compiler would emit and its distribution is the variable's, exactly
+/// what the pass would return. `source` is only read, so concurrent calls
+/// against one pool are safe.
 CompiledDistribution IsolatedCompileAndDistribution(
     const ExprPool& source, const VariableTable& variables, ExprId annotation,
     const CompileOptions& options);

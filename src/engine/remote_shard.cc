@@ -85,77 +85,6 @@ std::string RemoteShard::Call(MsgKind request, const std::string& payload,
   return RecvReply(expect);
 }
 
-namespace {
-
-template <typename T>
-T DecodeReplyOrDown(uint32_t shard, const std::string& payload) {
-  T out;
-  if (!T::Decode(payload, &out)) {
-    throw WorkerDown(shard, "undecodable typed reply");
-  }
-  return out;
-}
-
-}  // namespace
-
-void RemoteShard::SyncVars(const SyncVarsMsg& msg) {
-  Call(MsgKind::kSyncVars, msg.Encode(), MsgKind::kOk);
-}
-
-void RemoteShard::UpdateVar(VarId var, double probability) {
-  UpdateVarMsg msg;
-  msg.var = var;
-  msg.probability = probability;
-  Call(MsgKind::kUpdateVar, msg.Encode(), MsgKind::kOk);
-}
-
-uint64_t RemoteShard::LoadPartition(const LoadPartitionMsg& msg) {
-  std::string reply = Call(MsgKind::kLoadPartition, msg.Encode(), MsgKind::kOk);
-  return DecodeReplyOrDown<OkMsg>(shard_index_, reply).value;
-}
-
-void RemoteShard::AppendRow(const AppendRowMsg& msg) {
-  Call(MsgKind::kAppendRow, msg.Encode(), MsgKind::kOk);
-}
-
-void RemoteShard::DeleteRow(const DeleteRowMsg& msg) {
-  Call(MsgKind::kDeleteRow, msg.Encode(), MsgKind::kOk);
-}
-
-ChainResultMsg RemoteShard::EvalChain(const EvalChainMsg& msg) {
-  std::string reply =
-      Call(MsgKind::kEvalChain, msg.Encode(), MsgKind::kChainResult);
-  return DecodeReplyOrDown<ChainResultMsg>(shard_index_, reply);
-}
-
-uint64_t RemoteShard::RegisterChainView(const RegisterChainViewMsg& msg) {
-  std::string reply =
-      Call(MsgKind::kRegisterChainView, msg.Encode(), MsgKind::kOk);
-  return DecodeReplyOrDown<OkMsg>(shard_index_, reply).value;
-}
-
-void RemoteShard::DropChainView(const std::string& name) {
-  NameMsg msg;
-  msg.name = name;
-  Call(MsgKind::kDropChainView, msg.Encode(), MsgKind::kOk);
-}
-
-ChainResultMsg RemoteShard::ViewProbs(const std::string& name) {
-  NameMsg msg;
-  msg.name = name;
-  std::string reply =
-      Call(MsgKind::kViewProbs, msg.Encode(), MsgKind::kChainResult);
-  return DecodeReplyOrDown<ChainResultMsg>(shard_index_, reply);
-}
-
-ViewInfoMsg RemoteShard::ViewInfo(const std::string& name) {
-  NameMsg msg;
-  msg.name = name;
-  std::string reply =
-      Call(MsgKind::kViewInfo, msg.Encode(), MsgKind::kViewInfoResult);
-  return DecodeReplyOrDown<ViewInfoMsg>(shard_index_, reply);
-}
-
 bool RemoteShard::Ping(uint64_t nonce, PongMsg* pong) {
   if (down_) return false;
   PingMsg ping;

@@ -102,19 +102,6 @@ class RemoteShard {
   /// Gather half of Call; same contract as Call's reply handling.
   std::string RecvReply(MsgKind expect);
 
-  // -- Typed conveniences (all built on Call) -----------------------------
-
-  void SyncVars(const SyncVarsMsg& msg);
-  void UpdateVar(VarId var, double probability);
-  uint64_t LoadPartition(const LoadPartitionMsg& msg);
-  void AppendRow(const AppendRowMsg& msg);
-  void DeleteRow(const DeleteRowMsg& msg);
-  ChainResultMsg EvalChain(const EvalChainMsg& msg);
-  uint64_t RegisterChainView(const RegisterChainViewMsg& msg);
-  void DropChainView(const std::string& name);
-  ChainResultMsg ViewProbs(const std::string& name);
-  ViewInfoMsg ViewInfo(const std::string& name);
-
   /// Heartbeat. Sends kPing{nonce}; on success fills `*pong` (if non-null)
   /// with the worker's echoed nonce and (lsn, chain) position. False — and
   /// the stub marked down — on any transport failure, timeout, or nonce

@@ -88,15 +88,6 @@ size_t ExprPool::LongestOccupiedRun() const {
   return longest;
 }
 
-void ExprPool::Reserve(size_t additional_nodes) {
-  size_t target = nodes_.size() + additional_nodes;
-  nodes_.reserve(target);
-  // Keep the load factor below 0.7 without intermediate rehashes.
-  size_t slots = table_.empty() ? 512 : table_.size();
-  while (slots * 7 < (target + 1) * 10) slots *= 2;
-  if (slots > table_.size()) Rehash(slots);
-}
-
 void ExprPool::StoreVars(ExprNode* node, const VarId* vars, uint32_t n) {
   node->num_vars = n;
   if (n <= ExprNode::kInlineVars) {
@@ -502,17 +493,16 @@ ExprId ExprPool::CloneInto(ExprPool* dst, ExprId e) const {
   PVC_CHECK_MSG(dst->semiring_.kind() == semiring_.kind(),
                 "CloneInto requires pools over the same semiring");
   if (dst == this) return e;
-  // Children are always interned before their parents, so every node
-  // reachable from `e` has id <= e: a dense memo of e + 1 slots covers the
-  // whole clone, and the destination can pre-reserve that many nodes up
-  // front instead of reallocating while the clone streams in.
-  dst->Reserve(static_cast<size_t>(e) + 1);
-  std::vector<ExprId> memo(static_cast<size_t>(e) + 1, kInvalidExpr);
+  // The memo holds only the nodes below `e`, so a clone costs the size of
+  // the cloned DAG, not of the source pool (a row's annotation is a few
+  // nodes of a pool that may hold millions).
+  std::unordered_map<ExprId, ExprId> memo;
+  auto cloned = [&memo](ExprId id) { return memo.find(id) != memo.end(); };
   std::vector<ExprId> stack = {e};
   std::vector<ExprId> args;
   while (!stack.empty()) {
     ExprId id = stack.back();
-    if (memo[id] != kInvalidExpr) {
+    if (cloned(id)) {
       stack.pop_back();
       continue;
     }
@@ -521,7 +511,7 @@ ExprId ExprPool::CloneInto(ExprPool* dst, ExprId e) const {
     Span<ExprId> kids = n.children();
     for (size_t i = kids.size(); i-- > 0;) {
       ExprId c = kids[i];
-      if (memo[c] == kInvalidExpr) {
+      if (!cloned(c)) {
         stack.push_back(c);
         ready = false;
       }
@@ -542,7 +532,7 @@ ExprId ExprPool::CloneInto(ExprPool* dst, ExprId e) const {
       case ExprKind::kMulS:
       case ExprKind::kAddM: {
         args.clear();
-        for (ExprId c : kids) args.push_back(memo[c]);
+        for (ExprId c : kids) args.push_back(memo.at(c));
         if (n.kind == ExprKind::kAddS) {
           result = dst->AddSRange(args.data(), args.size());
         } else if (n.kind == ExprKind::kMulS) {
@@ -553,16 +543,16 @@ ExprId ExprPool::CloneInto(ExprPool* dst, ExprId e) const {
         break;
       }
       case ExprKind::kTensor:
-        result = dst->Tensor(memo[kids[0]], memo[kids[1]]);
+        result = dst->Tensor(memo.at(kids[0]), memo.at(kids[1]));
         break;
       case ExprKind::kCmp:
-        result = dst->Cmp(n.cmp, memo[kids[0]], memo[kids[1]]);
+        result = dst->Cmp(n.cmp, memo.at(kids[0]), memo.at(kids[1]));
         break;
     }
-    memo[id] = result;
+    memo.emplace(id, result);
     stack.pop_back();
   }
-  return memo[e];
+  return memo.at(e);
 }
 
 void ExprPool::CountVarOccurrences(

@@ -25,8 +25,11 @@
 // spans of *arena-backed* lists stay valid while the pool grows; spans of
 // inlined lists point into the node vector and are invalidated by interning
 // (copy the ExprNode header first -- the copy carries its inline items).
-// Transformation kernels (Substitute, CloneInto) are iterative with dense
-// id-indexed memo tables: no recursion depth limit, no hashing per node.
+// Transformation kernels (Substitute, CloneInto) are iterative: no
+// recursion depth limit. Substitute rewrites within one pool and keeps an
+// epoch-stamped id-indexed memo there; CloneInto's memo is a hash map over
+// the cloned DAG only, so copying one row's annotation out of a large pool
+// costs that annotation's nodes, not the pool's.
 
 #ifndef PVCDB_EXPR_EXPR_H_
 #define PVCDB_EXPR_EXPR_H_
@@ -233,16 +236,11 @@ class ExprPool {
   /// subexpressions stay shared. `this` is only read, so one source pool
   /// may be cloned from concurrently into *distinct* destination pools --
   /// this is what lets independent tuples compile in parallel against
-  /// task-private pools. The destination pre-reserves node and intern-table
-  /// capacity from the source's size, so a clone into a fresh pool performs
-  /// no intermediate reallocation. Note that `dst`'s ids (and hence the
-  /// canonical child order of re-built sums/products) generally differ from
-  /// the source pool's.
+  /// task-private pools. Time and memory are linear in the DAG below `e`,
+  /// whatever the size of the source pool. Note that `dst`'s ids (and hence
+  /// the canonical child order of re-built sums/products) generally differ
+  /// from the source pool's.
   ExprId CloneInto(ExprPool* dst, ExprId e) const;
-
-  /// Pre-sizes the node vector and intern table for `additional_nodes` more
-  /// interned nodes (CloneInto calls this with the source pool's size).
-  void Reserve(size_t additional_nodes);
 
   /// Counts syntactic occurrences of each variable in `e`, weighting shared
   /// subexpressions by the number of DAG paths that reach them (this equals

@@ -1,6 +1,6 @@
 #include "src/expr/print.h"
 
-#include <sstream>
+#include <string>
 
 #include "src/util/check.h"
 
@@ -16,70 +16,80 @@ class Printer {
   Printer(const ExprPool& pool, const VariableTable* variables)
       : pool_(pool), variables_(variables) {}
 
-  void Print(ExprId e, int parent_prec, std::ostream& out) {
+  void Print(ExprId e, int parent_prec, std::string* out) {
     const ExprNode& n = pool_.node(e);
     switch (n.kind) {
       case ExprKind::kVar:
-        out << (variables_ != nullptr ? variables_->NameOf(n.var())
-                                      : "x" + std::to_string(n.var()));
+        if (variables_ != nullptr) {
+          out->append(variables_->NameOf(n.var()));
+        } else {
+          out->push_back('x');
+          out->append(std::to_string(n.var()));
+        }
         return;
       case ExprKind::kConstS:
-        out << n.value;
+        out->append(std::to_string(n.value));
         return;
       case ExprKind::kConstM:
-        out << MonoidValueToString(n.value);
+        out->append(MonoidValueToString(n.value));
         return;
       case ExprKind::kAddS: {
         bool paren = parent_prec > kSumPrec;
-        if (paren) out << "(";
+        if (paren) out->push_back('(');
         bool first = true;
         for (ExprId c : n.children()) {
-          if (!first) out << " + ";
+          if (!first) out->append(" + ");
           first = false;
           Print(c, kSumPrec + 1, out);
         }
-        if (paren) out << ")";
+        if (paren) out->push_back(')');
         return;
       }
       case ExprKind::kMulS: {
         bool paren = parent_prec > kProdPrec;
-        if (paren) out << "(";
+        if (paren) out->push_back('(');
         bool first = true;
         for (ExprId c : n.children()) {
-          if (!first) out << "*";
+          if (!first) out->push_back('*');
           first = false;
           Print(c, kProdPrec + 1, out);
         }
-        if (paren) out << ")";
+        if (paren) out->push_back(')');
         return;
       }
       case ExprKind::kTensor: {
         bool paren = parent_prec > kProdPrec;
-        if (paren) out << "(";
+        if (paren) out->push_back('(');
         Print(n.child(0), kProdPrec + 1, out);
-        out << " (x) ";
+        out->append(" (x) ");
         Print(n.child(1), kProdPrec + 1, out);
-        if (paren) out << ")";
+        if (paren) out->push_back(')');
         return;
       }
       case ExprKind::kAddM: {
         bool paren = parent_prec > kSumPrec;
-        if (paren) out << "(";
+        if (paren) out->push_back('(');
         bool first = true;
         for (ExprId c : n.children()) {
-          if (!first) out << " +" << AggKindName(n.agg) << " ";
+          if (!first) {
+            out->append(" +");
+            out->append(AggKindName(n.agg));
+            out->push_back(' ');
+          }
           first = false;
           Print(c, kSumPrec + 1, out);
         }
-        if (paren) out << ")";
+        if (paren) out->push_back(')');
         return;
       }
       case ExprKind::kCmp: {
-        out << "[";
+        out->push_back('[');
         Print(n.child(0), kSumPrec, out);
-        out << " " << CmpOpName(n.cmp) << " ";
+        out->push_back(' ');
+        out->append(CmpOpName(n.cmp));
+        out->push_back(' ');
         Print(n.child(1), kSumPrec, out);
-        out << "]";
+        out->push_back(']');
         return;
       }
     }
@@ -95,10 +105,10 @@ class Printer {
 
 std::string ExprToString(const ExprPool& pool, ExprId e,
                          const VariableTable* variables) {
-  std::ostringstream out;
+  std::string out;
   Printer printer(pool, variables);
-  printer.Print(e, kSumPrec, out);
-  return out.str();
+  printer.Print(e, kSumPrec, &out);
+  return out;
 }
 
 }  // namespace pvcdb

@@ -1,5 +1,7 @@
 #include "src/query/serialize.h"
 
+#include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -267,11 +269,15 @@ Schema DecodeSchema(ByteReader* reader) {
   }
   std::vector<Column> columns;
   columns.reserve(n);
+  std::unordered_set<std::string> names;
   for (uint32_t i = 0; i < n; ++i) {
     Column column;
     column.name = reader->ReadString();
     uint8_t type = reader->ReadU8();
-    if (type > static_cast<uint8_t>(CellType::kAggExpr)) {
+    // A duplicate name would make the Schema constructor throw; bytes from
+    // outside fail the reader instead.
+    if (type > static_cast<uint8_t>(CellType::kAggExpr) ||
+        !names.insert(column.name).second) {
       reader->Fail();
       return Schema();
     }

@@ -60,7 +60,8 @@ std::vector<Cell> DecodeCells(ByteReader* reader);
 /// Appends the encoding of `schema` (column names + types).
 void EncodeSchema(std::string* out, const Schema& schema);
 
-/// Decodes a schema written by EncodeSchema.
+/// Decodes a schema written by EncodeSchema; an empty schema (and a failed
+/// reader) on malformed input, including two columns of the same name.
 Schema DecodeSchema(ByteReader* reader);
 
 /// Appends the encoding of a finite distribution (value/probability pairs;

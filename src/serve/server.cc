@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <deque>
 #include <iomanip>
@@ -124,20 +125,35 @@ bool RemoteBackend::Respawn(size_t shard, std::string* message) {
 namespace {
 
 // One P[row i] line per tuple, with conditional aggregate distributions
-// appended for kAggExpr columns.
+// appended for kAggExpr columns. The lines are built in one string and
+// written once. When a conditional aggregate throws, the text built so far
+// is written before the error propagates, as a stream written piece by
+// piece would have kept it.
 void AppendRowProbabilityLines(std::ostream& out, ServeBackend* backend,
                                const QueryRun& run) {
-  for (size_t i = 0; i < run.probabilities.size(); ++i) {
-    out << "P[row " << i << "] = " << run.probabilities[i];
-    for (size_t c = 0; c < run.schema.NumColumns(); ++c) {
-      if (run.schema.column(c).type == CellType::kAggExpr) {
-        const std::string& name = run.schema.column(c).name;
-        out << "  " << name << " | present ~ "
-            << backend->ConditionalAgg(run, i, name).ToString();
+  std::string lines;
+  try {
+    for (size_t i = 0; i < run.probabilities.size(); ++i) {
+      lines.append("P[row ");
+      lines.append(std::to_string(i));
+      lines.append("] = ");
+      AppendDouble17(&lines, run.probabilities[i]);
+      for (size_t c = 0; c < run.schema.NumColumns(); ++c) {
+        if (run.schema.column(c).type == CellType::kAggExpr) {
+          const std::string& name = run.schema.column(c).name;
+          lines.append("  ");
+          lines.append(name);
+          lines.append(" | present ~ ");
+          lines.append(backend->ConditionalAgg(run, i, name).ToString());
+        }
       }
+      lines.push_back('\n');
     }
-    out << "\n";
+  } catch (...) {
+    out << lines;
+    throw;
   }
+  out << lines;
 }
 
 // Parses the whole of `token` as a double; rejects trailing garbage.
@@ -424,6 +440,14 @@ bool RunViewCommand(ServeBackend* backend, std::istream& stream,
 }
 
 }  // namespace
+
+void AppendDouble17(std::string* out, double value) {
+  // 17 significant digits, a sign, a point and a 5-character exponent.
+  char buf[32];
+  std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value,
+                                         std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
 
 ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
                               bool* shutdown, ServeSession* session) {

@@ -212,6 +212,11 @@ struct ServeSession {
 ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
                               bool* shutdown, ServeSession* session = nullptr);
 
+/// Appends `value` exactly as ExecuteCommand's precision-17 stream prints
+/// it (printf's "%.17g", which round-trips every double), without a stream:
+/// the per-row probability lines of a reply are rendered with it.
+void AppendDouble17(std::string* out, double value);
+
 struct ServerConfig {
   std::string listen_address;
   size_t num_shards = 1;

@@ -34,6 +34,12 @@ def shard_run(serial_rps, parallel_rps, hardware_threads=8):
                    rows_per_second=parallel_rps)]
 
 
+def select_run(query_rps, select_rps):
+    """A bench_shard run's shard_query and shard_select 1x1 points."""
+    return [record("shard_query", 1, 1, rows_per_second=query_rps),
+            record("shard_select", 1, 1, rows_per_second=select_rps)]
+
+
 def ivm_run(speedup, hardware_threads=8):
     return [record("ivm_select", 0, 1, hardware_threads,
                    speedup_incremental_vs_recompute=speedup)]
@@ -115,6 +121,39 @@ class CheckBenchTrajectoryTest(unittest.TestCase):
         result = self.run_script(current, baseline)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("FAIL", result.stdout)
+
+    def run_select_gate(self, current, baseline):
+        return self.run_script(current, baseline, "--series", "shard_select",
+                               "--shards", "1", "--threads", "1",
+                               "--threshold", "0.50")
+
+    def test_select_series_gate_divides_by_the_query_point(self):
+        # The throughput metric honours --series: shard_select 1x1 over the
+        # same run's shard_query 1x1. A host twice as fast moves both.
+        current = self.write("current.json", select_run(2e6, 8e6))
+        baseline = self.write("baseline.json", select_run(1e6, 4e6))
+        result = self.run_select_gate(current, baseline)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("shard_select", result.stdout)
+        self.assertIn("current 4.000", result.stdout)
+        self.assertIn("OK", result.stdout)
+
+    def test_select_series_gate_fails_on_a_pool_sized_row_cost(self):
+        # A per-row step II cost that grows with the pool made shard_select
+        # at 1 shard x 1 thread about 10x slower than the re-recorded
+        # baseline while shard_query barely moved.
+        current = self.write("current.json", select_run(9e5, 2.8e5))
+        baseline = self.write("baseline.json", select_run(9e5, 3.6e6))
+        result = self.run_select_gate(current, baseline)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("FAIL", result.stdout)
+
+    def test_select_series_gate_needs_its_record(self):
+        current = self.write("current.json", shard_run(100.0, 350.0))
+        baseline = self.write("baseline.json", select_run(1e6, 4e6))
+        result = self.run_select_gate(current, baseline)
+        self.assertEqual(result.returncode, 2, result.stdout)
+        self.assertIn("no 'shard_select' record", result.stdout)
 
     def test_ns_per_node_fails_when_cost_rises(self):
         current = self.write(

@@ -14,6 +14,7 @@
 #include "src/engine/database.h"
 #include "src/engine/snapshot.h"
 #include "src/engine/wal.h"
+#include "src/net/protocol.h"
 #include "src/query/serialize.h"
 #include "src/table/cell.h"
 #include "src/util/check.h"
@@ -341,6 +342,114 @@ TEST(SnapshotTest, EncodeDecodeRoundTrips) {
     EXPECT_EQ(expected[i], actual[i]);
   }
   EXPECT_EQ(rebuilt.ViewProbabilities("cheap"), db->ViewProbabilities("cheap"));
+}
+
+// A schema naming its columns "ka" and "kb", and `bytes` with the encoded
+// name "kb" (u32 length, then the characters) renamed to "ka": the
+// payload then names two columns alike.
+Schema TwoColumnSchema() {
+  return Schema({{"ka", CellType::kInt}, {"kb", CellType::kInt}});
+}
+
+std::string DuplicateSecondColumnName(std::string bytes) {
+  const std::string encoded("\x02\x00\x00\x00kb", 6);
+  size_t at = bytes.find(encoded);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(bytes.find(encoded, at + 1), std::string::npos);
+  if (at != std::string::npos) bytes[at + 5] = 'a';
+  return bytes;
+}
+
+TEST(DecodeSchemaTest, DuplicateColumnNamesFailEveryReader) {
+  // Every reader of encoded schemas -- worker replies, partition loads, the
+  // WAL and snapshots -- must reject the payload as malformed; the Schema
+  // constructor's CheckError must not escape (a coordinator marks a worker
+  // whose reply fails to decode down, but rethrows an exception to the
+  // client).
+  std::vector<std::vector<Cell>> rows = {
+      {Cell(static_cast<int64_t>(1)), Cell(static_cast<int64_t>(2))}};
+
+  ChainResultMsg chain;
+  chain.schema = TwoColumnSchema();
+  ChainRow row;
+  row.cells = rows[0];
+  row.var = 0;
+  row.probability = 0.5;
+  chain.rows.push_back(row);
+  ChainResultMsg chain_out;
+  ASSERT_TRUE(ChainResultMsg::Decode(chain.Encode(), &chain_out));
+  std::string chain_bytes = DuplicateSecondColumnName(chain.Encode());
+  bool ok = true;
+  EXPECT_NO_THROW(ok = ChainResultMsg::Decode(chain_bytes, &chain_out));
+  EXPECT_FALSE(ok);
+
+  LoadPartitionMsg load;
+  load.table = "t";
+  load.key_column = "ka";
+  load.schema = TwoColumnSchema();
+  load.rows = rows;
+  load.vars = {0};
+  LoadPartitionMsg load_out;
+  ASSERT_TRUE(LoadPartitionMsg::Decode(load.Encode(), &load_out));
+  std::string load_bytes = DuplicateSecondColumnName(load.Encode());
+  ok = true;
+  EXPECT_NO_THROW(ok = LoadPartitionMsg::Decode(load_bytes, &load_out));
+  EXPECT_FALSE(ok);
+
+  WalOp create = WalOp::CreateTable("t", TwoColumnSchema(), "ka", rows, {0});
+  std::vector<WalOp> ops;
+  ASSERT_TRUE(DecodeWalOps(EncodeWalOps({create}), &ops));
+  std::string payload = DuplicateSecondColumnName(EncodeWalOps({create}));
+  ok = true;
+  EXPECT_NO_THROW(ok = DecodeWalOps(payload, &ops));
+  EXPECT_FALSE(ok);
+
+  // The WAL reader: a log whose second record carries the payload under a
+  // valid checksum ends after the first record.
+  std::string dir = TestDir("duplicate_column");
+  FileSystem* fs = DefaultFileSystem();
+  std::string error;
+  ASSERT_TRUE(fs->CreateDir(dir, &error)) << error;
+  std::string path = JoinPath(dir, "wal-duplicate.log");
+  fs->Remove(path, &error);
+  uint64_t first_boundary = 0;
+  {
+    std::unique_ptr<WalWriter> wal =
+        WalWriter::Open(fs, path, 0, 0, /*sync=*/false, &error);
+    ASSERT_NE(wal, nullptr) << error;
+    ASSERT_TRUE(wal->Append(SampleRecord(0)));
+    first_boundary = wal->bytes();
+  }
+  {
+    std::string record;
+    EncodeU32(&record, static_cast<uint32_t>(payload.size()));
+    EncodeU32(&record, Crc32c(payload));
+    record += payload;
+    std::unique_ptr<WritableFile> f = fs->OpenForAppend(path, &error);
+    ASSERT_NE(f, nullptr) << error;
+    ASSERT_TRUE(f->Append(record.data(), record.size()));
+    ASSERT_TRUE(f->Close());
+  }
+  WalReadResult read;
+  EXPECT_NO_THROW(read = ReadWal(fs, path));
+  EXPECT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.valid_bytes, first_boundary);
+  EXPECT_TRUE(read.torn_tail);
+
+  // The snapshot reader, with the body checksum recomputed so that only the
+  // duplicate name is wrong (the header is magic, u32 length, u32 CRC).
+  EngineState state;
+  state.ops = {create};
+  EngineState state_out;
+  ASSERT_TRUE(DecodeSnapshot(EncodeSnapshot(state), &state_out));
+  std::string image = DuplicateSecondColumnName(EncodeSnapshot(state));
+  const size_t kSnapshotHeader = 16;
+  std::string crc;
+  EncodeU32(&crc, Crc32c(image.substr(kSnapshotHeader)));
+  image.replace(kSnapshotHeader - 4, 4, crc);
+  ok = true;
+  EXPECT_NO_THROW(ok = DecodeSnapshot(image, &state_out));
+  EXPECT_FALSE(ok);
 }
 
 TEST(SnapshotTest, TornOrCorruptImagesAreRejected) {
